@@ -46,53 +46,61 @@ fn bench_dot(c: &mut Criterion) {
     for n in [10_000usize, 100_000] {
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.73).cos()).collect();
-        g.bench_with_input(BenchmarkId::new("pairwise_serial", n), &n, |b, _| {
+        g.bench_with_input(BenchmarkId::new("pairwise", n), &n, |b, _| {
             b.iter(|| black_box(vector::dot(&x, &y)))
-        });
-        g.bench_with_input(BenchmarkId::new("pairwise_parallel", n), &n, |b, _| {
-            b.iter(|| black_box(vector::par_dot(&x, &y)))
         });
     }
     g.finish();
 }
 
+/// `k` unit vectors of length `n` and a start vector to orthogonalize.
+fn ortho_case(n: usize, k: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let basis = (0..k)
+        .map(|j| {
+            let mut v: Vec<f64> = (0..n).map(|i| ((i + 7 * j) as f64 * 0.31).sin()).collect();
+            vector::normalize(&mut v);
+            v
+        })
+        .collect();
+    (basis, (0..n).map(|i| (i as f64 * 0.53).cos()).collect())
+}
+
+fn orthogonalize_once(strat: OrthoStrategy, basis: &[Vec<f64>], v0: &[f64]) -> f64 {
+    let mut v = v0.to_vec();
+    let ctx = OrthoSiteCtx { outer_iteration: 0, inner_solve: 0, column: basis.len() };
+    orthogonalize(strat, basis, &mut v, ctx, &NoFaults, None).vnorm
+}
+
 fn bench_ortho(c: &mut Criterion) {
     // Orthogonalization cost grows linearly in the basis size — the
     // paper's argument that extra robustness early in the inner solve is
-    // nearly free (§VII-E-1).
+    // nearly free (§VII-E-1). n = 10,000 is the fig3 inner solve (one
+    // thread: a campaign runs its solves on pool workers).
     let mut g = c.benchmark_group("orthogonalize");
     g.sample_size(20);
     let n = 10_000;
     for basis_size in [1usize, 5, 25] {
-        let basis: Vec<Vec<f64>> = (0..basis_size)
-            .map(|k| {
-                let mut v: Vec<f64> = (0..n).map(|i| ((i + 7 * k) as f64 * 0.31).sin()).collect();
-                vector::normalize(&mut v);
-                v
-            })
-            .collect();
-        let v0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.53).cos()).collect();
+        let (basis, v0) = ortho_case(n, basis_size);
         for strat in [OrthoStrategy::Mgs, OrthoStrategy::Cgs, OrthoStrategy::Cgs2] {
             g.bench_with_input(
                 BenchmarkId::new(format!("{strat:?}"), basis_size),
                 &basis_size,
-                |b, _| {
-                    b.iter(|| {
-                        let mut v = v0.clone();
-                        let r = orthogonalize(
-                            strat,
-                            &basis,
-                            &mut v,
-                            OrthoSiteCtx { outer_iteration: 0, inner_solve: 0, column: basis_size },
-                            &NoFaults,
-                            None,
-                        );
-                        black_box(r.vnorm)
-                    })
-                },
+                |b, _| b.iter(|| black_box(orthogonalize_once(strat, &basis, &v0))),
             );
         }
     }
+    // The last step of a GMRES(128) cycle on poisson180: past the team
+    // gate, so at two threads every coefficient's blocks are split.
+    let (basis, v0) = ortho_case(32_400, 128);
+    for threads in [1usize, 2] {
+        sdc_parallel::set_threads(threads);
+        g.bench_with_input(
+            BenchmarkId::new(format!("Mgs_threads{threads}"), "32400x128"),
+            &threads,
+            |b, _| b.iter(|| black_box(orthogonalize_once(OrthoStrategy::Mgs, &basis, &v0))),
+        );
+    }
+    sdc_parallel::set_threads(0);
     g.finish();
 }
 

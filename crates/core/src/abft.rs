@@ -218,7 +218,7 @@ pub fn abft_gmres_solve<A: LinearOperator + ?Sized>(
                         let tol_k = if k == basis.len() { eff_ortho_tol } else { cfg.ortho_tol };
                         for qi in basis.iter().take(k) {
                             stats.extra_dots += 1;
-                            let d = vector::par_dot(qi, qk).abs();
+                            let d = vector::dot(qi, qk).abs();
                             if d > tol_k {
                                 if std::env::var_os("SDC_ABFT_DEBUG").is_some() {
                                     eprintln!(

@@ -43,12 +43,12 @@ pub fn arnoldi<A: LinearOperator + ?Sized>(
 
     let mut q: Vec<Vec<f64>> = vec![q1];
     let mut h_cols: Vec<Vec<f64>> = Vec::with_capacity(m);
-    let mut w = vec![0.0; n];
     let mut breakdown = false;
 
     for j in 1..=m {
-        a.apply(&q[j - 1], &mut w);
-        let mut v = w.clone();
+        // Applied straight into the buffer that becomes `q_{j+1}`.
+        let mut v = vec![0.0; n];
+        a.apply(&q[j - 1], &mut v);
         let ores = orthogonalize(
             strategy,
             &q,

@@ -239,9 +239,11 @@ impl<'a, A: LinearOperator + ?Sized> FlexiblePreconditioner for PrecondInnerGmre
         let applies = std::sync::atomic::AtomicUsize::new(0);
         let a = self.a;
         let precond = &self.precond;
+        // One `M⁻¹u` buffer for every apply (each solve overwrites it).
+        let m_u = std::sync::Mutex::new(vec![0.0; n]);
         let op = crate::operator::FnOperator::square(n, |u: &[f64], y: &mut [f64]| {
             let ordinal = applies.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            let mut m_u = vec![0.0; n];
+            let mut m_u = m_u.lock().unwrap_or_else(|e| e.into_inner());
             precond.solve_faulted(u, &mut m_u, outer_iteration, ordinal);
             a.apply(&m_u, y);
         });

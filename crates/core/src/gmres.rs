@@ -143,8 +143,11 @@ pub fn gmres_solve_right_precond<A: LinearOperator + ?Sized>(
         cfg_u.tol = cfg.tol * bnorm / r0norm;
     }
 
+    // One `M⁻¹u` buffer for every apply (each solve overwrites it); the
+    // lock is uncontended, GMRES applies the operator sequentially.
+    let z = std::sync::Mutex::new(vec![0.0; n]);
     let op = FnOperator::square(n, |u: &[f64], y: &mut [f64]| {
-        let mut z = vec![0.0; n];
+        let mut z = z.lock().unwrap_or_else(|e| e.into_inner());
         precond.solve(u, &mut z);
         a.apply(&z, y);
     });
@@ -209,6 +212,11 @@ pub fn gmres_solve_instrumented<A: LinearOperator + ?Sized>(
     let mut restarts_left = cfg.max_detector_restarts;
     let mut r = vec![0.0; n];
     let mut finished: Option<SolveOutcome> = None;
+    let m = cfg.restart.unwrap_or(cfg.max_iters).max(1);
+    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
+    // Basis vectors of finished cycles, reused by the next one.
+    let mut spare: Vec<Vec<f64>> = Vec::new();
+    let mut w = vec![0.0; n];
 
     'cycles: while finished.is_none() {
         residual(a, b, &x, &mut r);
@@ -231,14 +239,13 @@ pub fn gmres_solve_instrumented<A: LinearOperator + ?Sized>(
             break;
         }
 
-        let m = cfg.restart.unwrap_or(cfg.max_iters).max(1);
         let breakdown_tol = cfg.breakdown_rel * beta;
-        let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-        let mut q1 = r.clone();
+        spare.append(&mut basis);
+        let mut q1 = spare.pop().unwrap_or_else(|| vec![0.0; n]);
+        q1.copy_from_slice(&r);
         vector::scal(1.0 / beta, &mut q1);
         basis.push(q1);
         let mut hqr = HessenbergQr::new(beta);
-        let mut w = vec![0.0; n];
 
         let mut j = 0usize;
         while j < m && iterations_done < cfg.max_iters {
@@ -331,7 +338,9 @@ pub fn gmres_solve_instrumented<A: LinearOperator + ?Sized>(
                 break 'cycles;
             }
 
-            let mut q_next = w.clone();
+            // `w` becomes the next basis vector; the next apply overwrites
+            // whichever buffer takes its place.
+            let mut q_next = std::mem::replace(&mut w, spare.pop().unwrap_or_else(|| vec![0.0; n]));
             vector::scal(1.0 / ores.vnorm, &mut q_next);
             basis.push(q_next);
         }

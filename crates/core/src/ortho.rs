@@ -11,7 +11,15 @@
 //! single corrupted `h_{1,j}` "taint all subsequent iterations of the
 //! orthogonalization loop" under MGS (§VII-B), exactly as the paper's
 //! experiments require. The detector checks each coefficient (and the
-//! final norm) as it is produced.
+//! final norm) as it is produced. Only the thread that called
+//! [`orthogonalize`] ever calls the injector, the detector or `sdc_obs`,
+//! one coefficient at a time in loop order, so injection records and
+//! traces are the same at every thread count.
+//!
+//! **MGS execution** is [`vector::mgs_sweep`]: fused update-and-dot
+//! passes over `v`, split over a thread team for long vectors, bitwise
+//! equal to a dot followed by an axpy per coefficient. The injector and
+//! detector run in its per-coefficient hook, on the calling thread.
 
 use crate::detector::{SdcDetector, Violation};
 use sdc_dense::vector;
@@ -113,16 +121,16 @@ fn mgs(
 ) -> OrthoResult {
     let mut h = Vec::with_capacity(basis.len());
     let mut violations = Vec::new();
-    for (idx, q) in basis.iter().enumerate() {
+    vector::mgs_sweep(basis, v, |idx, dot| {
         // Paper notation: i = idx+1 (1-based row of h_ij).
         let site = ctx.dot_site(idx + 1);
-        let hij = injector.corrupt(site, vector::par_dot(q, v));
+        let hij = injector.corrupt(site, dot);
         check(detector, hij, site, &mut violations);
         // The corrupted coefficient is applied: under MGS the fault
         // propagates into v and taints every later step.
-        vector::par_axpy(-hij, q, v);
         h.push(hij);
-    }
+        hij
+    });
     let nsite = ctx.norm_site();
     let vnorm = injector.corrupt(nsite, vector::nrm2(v));
     check(detector, vnorm, nsite, &mut violations);
@@ -142,7 +150,7 @@ fn cgs(
     let mut h: Vec<f64> = Vec::with_capacity(basis.len());
     for (idx, q) in basis.iter().enumerate() {
         let site = ctx.dot_site(idx + 1);
-        let hij = injector.corrupt(site, vector::par_dot(q, v));
+        let hij = injector.corrupt(site, vector::dot(q, v));
         check(detector, hij, site, &mut violations);
         h.push(hij);
     }
@@ -153,7 +161,7 @@ fn cgs(
         // Second pass; corrections folded into h.
         for (idx, q) in basis.iter().enumerate() {
             let site = ctx.dot_site(idx + 1);
-            let c = injector.corrupt(site, vector::par_dot(q, v));
+            let c = injector.corrupt(site, vector::dot(q, v));
             check(detector, c, site, &mut violations);
             vector::par_axpy(-c, q, v);
             h[idx] += c;
@@ -280,6 +288,75 @@ mod tests {
         let res = orthogonalize(OrthoStrategy::Mgs, &[], &mut v, ctx(1), &NoFaults, None);
         assert!(res.h.is_empty());
         assert!((res.vnorm - 5.0).abs() < 1e-15);
+    }
+
+    /// MGS as one dot and one axpy per coefficient — the composition the
+    /// fused, team-split sweep must reproduce bit for bit.
+    fn mgs_reference(
+        basis: &[Vec<f64>],
+        v: &mut [f64],
+        ctx: OrthoSiteCtx,
+        injector: &dyn FaultInjector,
+        detector: Option<&SdcDetector>,
+    ) -> OrthoResult {
+        let mut h = Vec::with_capacity(basis.len());
+        let mut violations = Vec::new();
+        for (idx, q) in basis.iter().enumerate() {
+            let site = ctx.dot_site(idx + 1);
+            let hij = injector.corrupt(site, vector::dot(q, v));
+            check(detector, hij, site, &mut violations);
+            vector::axpy(-hij, q, v);
+            h.push(hij);
+        }
+        let nsite = ctx.norm_site();
+        let vnorm = injector.corrupt(nsite, vector::nrm2(v));
+        check(detector, vnorm, nsite, &mut violations);
+        OrthoResult { h, vnorm, violations }
+    }
+
+    #[test]
+    fn fused_team_mgs_matches_dot_then_axpy_bitwise() {
+        let _guard = sdc_parallel::test_serial_guard();
+        let k = 9;
+        let det = SdcDetector { bound: 5.0, response: DetectorResponse::Record };
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // 1024 and 10,000 run inline; 32,400 and 70,000 split over the team.
+        for n in [1024usize, 10_000, 32_400, 70_000] {
+            let basis: Vec<Vec<f64>> = (0..k)
+                .map(|j| {
+                    unit((0..n).map(|i| ((i * (j + 3)) as f64 * 0.0137).sin() + 0.01).collect())
+                })
+                .collect();
+            let v0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.021).cos() * 3.0).collect();
+            for pos in [LoopPosition::First, LoopPosition::Index(k / 2), LoopPosition::Last] {
+                let injector = || {
+                    SingleFaultInjector::new(
+                        FaultModel::ScaleRelative(1e4),
+                        Trigger::once(SitePredicate::mgs_site(1, k, pos)),
+                    )
+                };
+                let inj = injector();
+                let mut v_ref = v0.clone();
+                let want = mgs_reference(&basis, &mut v_ref, ctx(k), &inj, Some(&det));
+                let want_records = inj.records();
+                assert_eq!(want_records.len(), 1, "n={n} {pos:?}: the fault must fire");
+                assert!(!want.violations.is_empty(), "n={n} {pos:?}: the detector must see it");
+                for t in [1, 2, 8] {
+                    sdc_parallel::set_threads(t);
+                    let inj = injector();
+                    let mut v = v0.clone();
+                    let got =
+                        orthogonalize(OrthoStrategy::Mgs, &basis, &mut v, ctx(k), &inj, Some(&det));
+                    let at = format!("n={n} {pos:?} threads={t}");
+                    assert_eq!(bits(&got.h), bits(&want.h), "{at}: h");
+                    assert_eq!(got.vnorm.to_bits(), want.vnorm.to_bits(), "{at}: vnorm");
+                    assert_eq!(got.violations, want.violations, "{at}: violations");
+                    assert_eq!(inj.records(), want_records, "{at}: injection records");
+                    assert_eq!(bits(&v), bits(&v_ref), "{at}: v");
+                }
+                sdc_parallel::set_threads(0);
+            }
+        }
     }
 
     #[test]

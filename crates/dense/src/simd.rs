@@ -10,19 +10,29 @@
 //!   `a * x[i]` / `x[i] * a` with a separate multiply and add, exactly
 //!   the scalar op per element, so the result is trivially bitwise
 //!   identical (no FMA: fusing would change the rounding of `y + a*x`).
-//! * [`dot256`] evaluates the four base-64 chains of one 256-element
-//!   pairwise-tree subtree in the four lanes of a `f64x4` accumulator.
-//!   Lane `l` performs precisely the additions the scalar tree performs
-//!   in its `l`-th leaf, in the same order, and the final horizontal
-//!   combine reproduces the tree's `(s0+s1)+(s2+s3)` shape — so the
-//!   reduction is bitwise-pinned to the scalar [`det_map_sum`] result.
+//! * `chains` evaluates the leaves of the canonical pairwise tree (see
+//!   [`crate::vector`]) 4 or 16 at a time. Each leaf is one scalar add
+//!   chain of at most [`PAIRWISE_BASE`] terms; a single chain is bound by
+//!   add latency, 16 side by side by throughput. The AVX2 body loads four
+//!   consecutive terms of each of four leaves, transposes the 4×4 block so
+//!   lane `l` holds leaf `l`'s terms in order, and adds them one after the
+//!   other — lane `l` performs precisely the additions the scalar leaf
+//!   performs, in the same order. Leaves of a ragged tree differ in length
+//!   by one; the vector loop stops at the shortest leaf and each chain
+//!   finishes its own tail in scalar code. The portable body runs the
+//!   same chains interleaved in scalar registers. Dot products, the
+//!   fused MGS update-and-dot and `nrm2`'s scaled squares all go through
+//!   it, each supplying its terms as a `Terms` implementation.
+//! * `max_abs` is `nrm2`'s scaling pass. A maximum is exact and ignores
+//!   NaN operands in every order, so four vector accumulators give the
+//!   same bits as the scalar fold.
 //!
 //! Mode selection happens once per process: the first kernel that asks
 //! reads `SDC_SIMD` (`auto` | `avx2` | `scalar`), resolves `auto` via
 //! `is_x86_feature_detected!`, and caches the answer in an atomic. The
 //! shared CLI's `--simd` flag overrides the cache before any kernel runs.
 //!
-//! [`det_map_sum`]: sdc_parallel::det_map_sum
+//! [`PAIRWISE_BASE`]: sdc_parallel::PAIRWISE_BASE
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -218,22 +228,167 @@ pub fn scal4(a: f64, x: &mut [f64]) -> Option<()> {
     None
 }
 
-/// Lane-parallel body for one 256-element dot-product subtree (4 ×
-/// base-64 chains); `None` when the scalar tree should run. The caller
-/// guarantees `x.len() == y.len() == 4 * PAIRWISE_BASE`.
+/// The terms one pairwise-tree leaf adds up; `at(i)` is term `i`.
+///
+/// # Safety
+/// Implementations read through raw pointers (and [`AxpyDot::prepare`]
+/// writes). Callers keep every index (and `i + 3` for [`Terms::at4`])
+/// inside the buffers the value was built from, and `prepare` a range
+/// before reading any term of it.
+pub(crate) unsafe trait Terms: Copy {
+    /// Updates `lo..lo + len` before its terms are read; nothing by
+    /// default.
+    #[inline(always)]
+    unsafe fn prepare(self, _lo: usize, _len: usize) {}
+    /// Term `i`.
+    unsafe fn at(self, i: usize) -> f64;
+    /// Terms `i..i + 4`, each computed exactly as [`Terms::at`] does.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn at4(self, i: usize) -> std::arch::x86_64::__m256d;
+}
+
+/// `x[i] * y[i]`: a dot product's terms (operands in this order).
+#[derive(Clone, Copy)]
+pub(crate) struct Dot {
+    pub x: *const f64,
+    pub y: *const f64,
+}
+
+unsafe impl Terms for Dot {
+    #[inline(always)]
+    unsafe fn at(self, i: usize) -> f64 {
+        *self.x.add(i) * *self.y.add(i)
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn at4(self, i: usize) -> std::arch::x86_64::__m256d {
+        use std::arch::x86_64::*;
+        _mm256_mul_pd(_mm256_loadu_pd(self.x.add(i)), _mm256_loadu_pd(self.y.add(i)))
+    }
+}
+
+/// `(x[i] * inv)²`: `nrm2`'s scaled squares.
+#[derive(Clone, Copy)]
+pub(crate) struct ScaledSquares {
+    pub x: *const f64,
+    pub inv: f64,
+}
+
+unsafe impl Terms for ScaledSquares {
+    #[inline(always)]
+    unsafe fn at(self, i: usize) -> f64 {
+        let s = *self.x.add(i) * self.inv;
+        s * s
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn at4(self, i: usize) -> std::arch::x86_64::__m256d {
+        use std::arch::x86_64::*;
+        let s = _mm256_mul_pd(_mm256_loadu_pd(self.x.add(i)), _mm256_set1_pd(self.inv));
+        _mm256_mul_pd(s, s)
+    }
+}
+
+/// The fused MGS step: `prepare` applies `v ← v + a·p` to a range (the
+/// plain [`crate::vector::axpy`]), then the terms are `q[i] * v[i]` of
+/// the updated `v`. A leaf group's range is about 1,024 elements, so the
+/// dot reads `v` back from L1.
+#[derive(Clone, Copy)]
+pub(crate) struct AxpyDot {
+    pub a: f64,
+    pub p: *const f64,
+    pub q: *const f64,
+    pub v: *mut f64,
+}
+
+unsafe impl Terms for AxpyDot {
+    #[inline(always)]
+    unsafe fn prepare(self, lo: usize, len: usize) {
+        crate::vector::axpy(
+            self.a,
+            std::slice::from_raw_parts(self.p.add(lo), len),
+            std::slice::from_raw_parts_mut(self.v.add(lo), len),
+        );
+    }
+    #[inline(always)]
+    unsafe fn at(self, i: usize) -> f64 {
+        *self.q.add(i) * *self.v.add(i)
+    }
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn at4(self, i: usize) -> std::arch::x86_64::__m256d {
+        use std::arch::x86_64::*;
+        _mm256_mul_pd(_mm256_loadu_pd(self.q.add(i)), _mm256_loadu_pd(self.v.add(i)))
+    }
+}
+
+/// Sums `C` leaves side by side: leaf `c` is the add chain `0.0 +
+/// t.at(starts[c]) + t.at(starts[c] + 1) + …` over `lens[c]` terms,
+/// evaluated left to right exactly as the scalar loop does. `C` is 4 or
+/// 16.
+///
+/// # Safety
+/// Every leaf range must be valid for `t` (see [`Terms`]).
 #[inline]
-pub fn dot256(x: &[f64], y: &[f64]) -> Option<f64> {
+pub(crate) unsafe fn chains<T: Terms, const C: usize>(
+    t: T,
+    starts: &[usize; C],
+    lens: &[usize; C],
+) -> [f64; C] {
+    const { assert!(C % 4 == 0) };
     #[cfg(target_arch = "x86_64")]
     {
         if active() == Isa::Avx2 {
-            debug_assert_eq!(x.len(), 4 * sdc_parallel::PAIRWISE_BASE);
-            debug_assert_eq!(x.len(), y.len());
-            // SAFETY: AVX2 availability was verified by `active()`.
-            return Some(unsafe { avx2::dot256(x, y) });
+            return avx2::chains(t, starts, lens);
         }
     }
-    let _ = (x, y);
-    None
+    let shortest = lens.iter().copied().min().unwrap_or(0);
+    let mut sums = [0.0; C];
+    for i in 0..shortest {
+        for c in 0..C {
+            sums[c] += t.at(starts[c] + i);
+        }
+    }
+    finish_chains(t, starts, lens, shortest, &mut sums);
+    sums
+}
+
+/// Adds each leaf's terms from `from` to its end onto `sums`.
+#[inline(always)]
+unsafe fn finish_chains<T: Terms, const C: usize>(
+    t: T,
+    starts: &[usize; C],
+    lens: &[usize; C],
+    from: usize,
+    sums: &mut [f64; C],
+) {
+    for c in 0..C {
+        for i in from..lens[c] {
+            sums[c] += t.at(starts[c] + i);
+        }
+    }
+}
+
+/// `max |x_i|`, ignoring NaN elements (0 for an empty or all-NaN `x`):
+/// bitwise the fold `x.iter().fold(0.0, |m, v| m.max(v.abs()))`.
+#[inline]
+pub(crate) fn max_abs(x: &[f64]) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if active() == Isa::Avx2 && x.len() >= 16 {
+            // SAFETY: AVX2 availability was verified by `active()`.
+            return unsafe { avx2::max_abs(x) };
+        }
+    }
+    let mut m = [0.0f64; 4];
+    let mut quads = x.chunks_exact(4);
+    for q in &mut quads {
+        for k in 0..4 {
+            m[k] = m[k].max(q[k].abs());
+        }
+    }
+    let tail = quads.remainder().iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+    m.iter().fold(tail, |acc, &v| acc.max(v))
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -279,25 +434,83 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Four base-64 chains in four lanes; combine `(s0+s1)+(s2+s3)`.
-    /// Scalar `x[i] *= a` is `x * a`; the vector body above keeps that
-    /// operand order. Here lane `l` accumulates `x[64l + i] * y[64l + i]`
-    /// with separate mul/add — the exact scalar chain of leaf `l`.
+    /// Transposes four rows of four lanes: lane `l` of result `k` is
+    /// lane `k` of row `l`.
+    #[inline(always)]
+    unsafe fn transpose(r: [__m256d; 4]) -> [__m256d; 4] {
+        let t0 = _mm256_unpacklo_pd(r[0], r[1]);
+        let t1 = _mm256_unpackhi_pd(r[0], r[1]);
+        let t2 = _mm256_unpacklo_pd(r[2], r[3]);
+        let t3 = _mm256_unpackhi_pd(r[2], r[3]);
+        [
+            _mm256_permute2f128_pd(t0, t2, 0x20),
+            _mm256_permute2f128_pd(t1, t3, 0x20),
+            _mm256_permute2f128_pd(t0, t2, 0x31),
+            _mm256_permute2f128_pd(t1, t3, 0x31),
+        ]
+    }
+
+    /// See [`super::chains`]. Register `g` carries leaves `4g..4g + 4`,
+    /// one per lane; each step loads four consecutive terms of each leaf,
+    /// transposes them into term order and adds them one at a time, so
+    /// every lane repeats its scalar chain. Separate mul and add, no FMA.
     ///
     /// # Safety
-    /// Requires AVX2; `x.len() == y.len() == 256`.
+    /// Requires AVX2; every leaf range valid for `t`; `C` is 4 or 16.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot256(x: &[f64], y: &[f64]) -> f64 {
-        const B: usize = 64;
-        let mut acc = _mm256_setzero_pd();
-        for i in 0..B {
-            let xv = _mm256_set_pd(x[3 * B + i], x[2 * B + i], x[B + i], x[i]);
-            let yv = _mm256_set_pd(y[3 * B + i], y[2 * B + i], y[B + i], y[i]);
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(xv, yv));
+    pub(crate) unsafe fn chains<T: super::Terms, const C: usize>(
+        t: T,
+        starts: &[usize; C],
+        lens: &[usize; C],
+    ) -> [f64; C] {
+        let shortest = lens.iter().copied().min().unwrap_or(0);
+        let mut acc = [_mm256_setzero_pd(); 4];
+        let mut i = 0;
+        while i + 4 <= shortest {
+            for g in 0..C / 4 {
+                let s = &starts[4 * g..4 * g + 4];
+                let cols =
+                    transpose([t.at4(s[0] + i), t.at4(s[1] + i), t.at4(s[2] + i), t.at4(s[3] + i)]);
+                let mut a = acc[g];
+                for c in cols {
+                    a = _mm256_add_pd(a, c);
+                }
+                acc[g] = a;
+            }
+            i += 4;
         }
-        let lanes: [f64; 4] = std::mem::transmute(acc);
-        // The pairwise tree over 256 elements is ((c0+c1)+(c2+c3)).
-        (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+        let mut sums = [0.0; C];
+        for g in 0..C / 4 {
+            _mm256_storeu_pd(sums.as_mut_ptr().add(4 * g), acc[g]);
+        }
+        super::finish_chains(t, starts, lens, i, &mut sums);
+        sums
+    }
+
+    /// See [`super::max_abs`]. `_mm256_max_pd(v, m)` returns `m` when
+    /// `v` is NaN, as `f64::max` does.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn max_abs(x: &[f64]) -> f64 {
+        let n = x.len();
+        let sign = _mm256_set1_pd(-0.0);
+        let mut m = [_mm256_setzero_pd(); 4];
+        let mut i = 0;
+        while i + 16 <= n {
+            for (k, mk) in m.iter_mut().enumerate() {
+                let v = _mm256_andnot_pd(sign, _mm256_loadu_pd(x.as_ptr().add(i + 4 * k)));
+                *mk = _mm256_max_pd(v, *mk);
+            }
+            i += 16;
+        }
+        let mut lanes = [0.0f64; 16];
+        for (k, mk) in m.iter().enumerate() {
+            _mm256_storeu_pd(lanes.as_mut_ptr().add(4 * k), *mk);
+        }
+        let tail = x[i..].iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+        lanes.iter().fold(tail, |acc, &v| acc.max(v))
     }
 }
 

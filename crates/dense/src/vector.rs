@@ -11,16 +11,19 @@
 //!    deterministic primitive, [`sdc_parallel::det_map_sum`]: a
 //!    fixed-block pairwise tree whose shape depends only on the input
 //!    length — never on thread count — so serial and parallel execution
-//!    produce bitwise-identical results. This module contributes only
-//!    the sequential *leaf kernels* (which the compiler vectorizes).
+//!    produce bitwise-identical results. This module contributes the
+//!    per-block *leaf trees*, whose leaves run side by side in
+//!    `simd::chains` without changing a single addition.
 //! 2. **Accuracy.** Pairwise summation has an error bound of
 //!    `O(log n · eps)` versus `O(n · eps)` for recursive summation, which
 //!    keeps the orthogonality loss of Modified Gram-Schmidt close to the
 //!    theoretical bound and the detector free of arithmetic-noise false
 //!    positives.
 
+use crate::simd;
 use rayon::prelude::*;
-use sdc_parallel::{det_map_sum, PAIRWISE_BASE, PAR_MIN};
+use sdc_parallel::{combine_blocks, det_map_sum, BLOCK, PAIRWISE_BASE, PAR_MIN};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Pairwise sum of a slice with a fixed-shape reduction tree.
 #[inline]
@@ -39,38 +42,153 @@ pub fn pairwise_sum(xs: &[f64]) -> f64 {
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    det_map_sum(x.len(), &|r| dot_rec(&x[r.clone()], &y[r]))
+    det_map_sum(x.len(), &|r| {
+        let (x, y) = (&x[r.clone()], &y[r]);
+        // SAFETY: both slices hold every index of the tree.
+        unsafe { tree(simd::Dot { x: x.as_ptr(), y: y.as_ptr() }, 0, x.len()) }
+    })
 }
 
-fn dot_rec(x: &[f64], y: &[f64]) -> f64 {
-    if x.len() <= PAIRWISE_BASE {
+/// The fused Modified Gram-Schmidt step: `v ← v + a·p`, then `qᵀv`.
+/// Bitwise `axpy(a, p, v); dot(q, v)`, but for a vector of at most one
+/// [`BLOCK`] the update is applied one leaf group (about 1,024 elements)
+/// at a time just before the dot reads it, so `v` makes one trip
+/// through the cache instead of two. Longer vectors run the two kernels
+/// in turn.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub fn axpy_dot(a: f64, p: &[f64], q: &[f64], v: &mut [f64]) -> f64 {
+    assert_eq!(p.len(), v.len(), "axpy_dot: length mismatch");
+    assert_eq!(q.len(), v.len(), "axpy_dot: length mismatch");
+    if v.len() > BLOCK {
+        axpy(a, p, v);
+        return dot(q, v);
+    }
+    let terms = simd::AxpyDot { a, p: p.as_ptr(), q: q.as_ptr(), v: v.as_mut_ptr() };
+    // SAFETY: all three buffers hold every index of the tree, and `v` is
+    // reached only through `terms` until the call returns.
+    unsafe { tree(terms, 0, v.len()) }
+}
+
+/// Modified Gram-Schmidt against `basis`, with the coefficients chosen
+/// by the caller: for each `q_i` in order, `coeff(i, q_i·v)` returns the
+/// coefficient `c` to apply and `v ← v − c·q_i`. `coeff` runs on the
+/// calling thread only, once per basis vector, in order — where the
+/// solvers inject faults and run the detector.
+///
+/// Bitwise `for i { c = coeff(i, dot(q_i, v)); axpy(-c, q_i, v) }`, but
+/// each pass over `v` is fused: per [`BLOCK`] of `v`, apply the previous
+/// update and return that block's partial of the next dot
+/// ([`axpy_dot`]); the partials combine in block order
+/// ([`sdc_parallel::combine_blocks`]) exactly as [`dot`] combines them.
+/// From [`sdc_parallel::TEAM_MIN`] elements the blocks of every pass are
+/// split over one [`sdc_parallel::team()`] recruited for the whole sweep.
+pub fn mgs_sweep(basis: &[Vec<f64>], v: &mut [f64], mut coeff: impl FnMut(usize, f64) -> f64) {
+    let k = basis.len();
+    // Pass `i < k` leaves block partials of `q_i·v`; pass `k` applies
+    // the last update. Coefficients and partials cross threads as bits,
+    // ordered by the team's phase hand-off.
+    let partials: Vec<AtomicU64> =
+        (0..v.len().div_ceil(BLOCK)).map(|_| AtomicU64::new(0)).collect();
+    let applied: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
+    let pass = |i: usize, b: usize, vb: &mut [f64]| {
+        let r = b * BLOCK..b * BLOCK + vb.len();
+        let prev = i
+            .checked_sub(1)
+            .map(|p| (-f64::from_bits(applied[p].load(Relaxed)), &basis[p][r.clone()]));
+        let partial = match (basis.get(i), prev) {
+            (Some(q), Some((a, p))) => axpy_dot(a, p, &q[r], vb),
+            (Some(q), None) => dot(&q[r], vb),
+            (None, Some((a, p))) => return axpy(a, p, vb),
+            (None, None) => return,
+        };
+        partials[b].store(partial.to_bits(), Relaxed);
+    };
+    let mut block_dots = vec![0.0; partials.len()];
+    sdc_parallel::team(v, &pass, |team| {
+        for (i, c) in applied.iter().enumerate() {
+            team.run();
+            for (d, p) in block_dots.iter_mut().zip(&partials) {
+                *d = f64::from_bits(p.load(Relaxed));
+            }
+            c.store(coeff(i, combine_blocks(&block_dots)).to_bits(), Relaxed);
+        }
+        if k > 0 {
+            team.run();
+        }
+    });
+}
+
+/// Sums terms `lo..lo + len` with the canonical pairwise tree: a node of
+/// at most [`PAIRWISE_BASE`] terms is one left-to-right add chain (a
+/// *leaf*), a longer one is `tree(left half) + tree(right half)` with the
+/// left half `len / 2` long. Subtrees whose leaves all sit at the same
+/// depth — 16 leaves for 520–1,024 terms, 4 for 130–256 — go to
+/// [`simd::chains`] in one piece; their sums are then combined in the
+/// same tree shape. Every other node recurses, so every length gives
+/// the bits of the plain recursion.
+///
+/// # Safety
+/// `lo..lo + len` must be valid for `t` (see [`simd::Terms`]).
+unsafe fn tree<T: simd::Terms>(t: T, lo: usize, len: usize) -> f64 {
+    if len <= PAIRWISE_BASE {
+        t.prepare(lo, len);
         let mut acc = 0.0;
-        for (a, b) in x.iter().zip(y.iter()) {
-            acc += a * b;
+        for i in lo..lo + len {
+            acc += t.at(i);
         }
         acc
+    } else if complete(len, 4) {
+        group::<T, 16>(t, lo, len)
+    } else if complete(len, 2) {
+        group::<T, 4>(t, lo, len)
     } else {
-        // Lane-parallel body for one 4-leaf subtree: four base-64 chains
-        // run in four AVX2 lanes with the identical per-leaf op sequence
-        // and the identical `(s0+s1)+(s2+s3)` combine, so the reduction
-        // stays bitwise-pinned to the scalar tree (see `crate::simd`).
-        if x.len() == 4 * PAIRWISE_BASE {
-            if let Some(v) = crate::simd::dot256(x, y) {
-                return v;
-            }
-        }
-        let mid = x.len() / 2;
-        dot_rec(&x[..mid], &y[..mid]) + dot_rec(&x[mid..], &y[mid..])
+        let mid = len / 2;
+        tree(t, lo, mid) + tree(t, lo + mid, len - mid)
     }
 }
 
-/// Parallel dot product — an alias for [`dot`], which already runs its
-/// blocks concurrently when the input is large enough to pay for it.
-/// Kept for call sites that want to document intent.
-#[inline]
-pub fn par_dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "par_dot: length mismatch");
-    dot(x, y)
+/// True when a node of `len` terms is a complete tree of `2^depth`
+/// leaves: every node `depth - 1` levels down still splits (its floor
+/// length exceeds the base) and every node `depth` levels down is a leaf.
+const fn complete(len: usize, depth: u32) -> bool {
+    len >> (depth - 1) > PAIRWISE_BASE && len.div_ceil(1 << depth) <= PAIRWISE_BASE
+}
+
+/// One complete subtree of `C` leaves: split `len` the way [`tree`]
+/// does, sum the leaves side by side, combine the sums pairwise.
+unsafe fn group<T: simd::Terms, const C: usize>(t: T, lo: usize, len: usize) -> f64 {
+    let mut lens = [0usize; C];
+    lens[0] = len;
+    let mut width = 1;
+    while width < C {
+        // Back to front, so each parent is read before its slot is reused.
+        for k in (0..width).rev() {
+            let l = lens[k];
+            lens[2 * k] = l / 2;
+            lens[2 * k + 1] = l - l / 2;
+        }
+        width *= 2;
+    }
+    let mut starts = [lo; C];
+    for c in 1..C {
+        starts[c] = starts[c - 1] + lens[c - 1];
+    }
+    t.prepare(lo, len);
+    combine_pairwise(&simd::chains::<T, C>(t, &starts, &lens))
+}
+
+/// `combine(left half) + combine(right half)`: the tree above the
+/// leaves of a complete subtree.
+fn combine_pairwise(sums: &[f64]) -> f64 {
+    match sums {
+        [only] => *only,
+        _ => {
+            let (l, r) = sums.split_at(sums.len() / 2);
+            combine_pairwise(l) + combine_pairwise(r)
+        }
+    }
 }
 
 /// `y ← a·x + y`. Bitwise identical across the scalar and SIMD bodies:
@@ -127,7 +245,7 @@ pub fn sub(x: &[f64], y: &[f64], z: &mut [f64]) {
 /// Euclidean norm with overflow/underflow-safe two-pass scaling and a
 /// deterministic pairwise accumulation.
 pub fn nrm2(x: &[f64]) -> f64 {
-    let maxabs = x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()));
+    let maxabs = norm_inf(x);
     if maxabs == 0.0 {
         return 0.0;
     }
@@ -137,28 +255,18 @@ pub fn nrm2(x: &[f64]) -> f64 {
     // Scale so the largest element is 1; the sum of squares then cannot
     // overflow for any realistic length.
     let inv = 1.0 / maxabs;
-    let ss = det_map_sum(x.len(), &|r| sum_sq_scaled(&x[r], inv));
+    let ss = det_map_sum(x.len(), &|r| {
+        let x = &x[r];
+        // SAFETY: the slice holds every index of the tree.
+        unsafe { tree(simd::ScaledSquares { x: x.as_ptr(), inv }, 0, x.len()) }
+    });
     maxabs * ss.sqrt()
 }
 
-fn sum_sq_scaled(x: &[f64], inv: f64) -> f64 {
-    if x.len() <= PAIRWISE_BASE {
-        let mut acc = 0.0;
-        for &v in x {
-            let s = v * inv;
-            acc += s * s;
-        }
-        acc
-    } else {
-        let mid = x.len() / 2;
-        sum_sq_scaled(&x[..mid], inv) + sum_sq_scaled(&x[mid..], inv)
-    }
-}
-
-/// Infinity norm `max |x_i|`.
+/// Infinity norm `max |x_i|` (NaN elements are skipped).
 #[inline]
 pub fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
+    simd::max_abs(x)
 }
 
 /// One norm `Σ |x_i|`.
@@ -202,14 +310,46 @@ mod tests {
         assert_eq!(dot(&[], &[]), 0.0);
     }
 
+    /// The canonical shape written out plainly: one add chain per leaf,
+    /// `BLOCK`-sized blocks, partials combined with `combine_blocks`.
+    fn reference_dot(x: &[f64], y: &[f64]) -> f64 {
+        fn leaf(x: &[f64], y: &[f64]) -> f64 {
+            if x.len() <= PAIRWISE_BASE {
+                x.iter().zip(y).fold(0.0, |acc, (a, b)| acc + a * b)
+            } else {
+                let mid = x.len() / 2;
+                leaf(&x[..mid], &y[..mid]) + leaf(&x[mid..], &y[mid..])
+            }
+        }
+        let partials: Vec<f64> =
+            x.chunks(BLOCK).zip(y.chunks(BLOCK)).map(|(a, b)| leaf(a, b)).collect();
+        sdc_parallel::combine_blocks(&partials)
+    }
+
     #[test]
     fn par_dot_bitwise_matches_serial() {
-        for n in [0, 1, 63, 64, 65, 1000, 8192, 8193, 70_000] {
+        // `dot` evaluates large inputs on the pool; it must match the
+        // serial reference shape at every size.
+        for n in [0, 1, 63, 64, 65, 129, 257, 1000, 8192, 8193, 70_000] {
             let x = seq(n);
             let y: Vec<f64> = x.iter().map(|v| v * 1.3 - 0.2).collect();
-            let s = dot(&x, &y);
-            let p = par_dot(&x, &y);
-            assert_eq!(s.to_bits(), p.to_bits(), "n={n}");
+            assert_eq!(dot(&x, &y).to_bits(), reference_dot(&x, &y).to_bits(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn axpy_dot_is_axpy_then_dot() {
+        for n in [0, 5, 64, 129, 520, 1024, 1808, 7824, BLOCK, BLOCK + 3] {
+            let p = seq(n);
+            let q: Vec<f64> = p.iter().map(|v| v * -0.7 + 0.05).collect();
+            let v0: Vec<f64> = p.iter().map(|v| (v * 3.1).cos()).collect();
+            let mut split = v0.clone();
+            axpy(-0.37, &p, &mut split);
+            let want = dot(&q, &split);
+            let mut fused = v0.clone();
+            let got = axpy_dot(-0.37, &p, &q, &mut fused);
+            assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
+            assert!(fused.iter().zip(&split).all(|(a, b)| a.to_bits() == b.to_bits()), "n={n}");
         }
     }
 

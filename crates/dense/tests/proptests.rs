@@ -46,9 +46,15 @@ proptest! {
 
     #[test]
     fn par_dot_is_bitwise_deterministic(x in vec_strategy(3000, 1e3)) {
-        let y: Vec<f64> = x.iter().map(|v| v * 0.5 + 1.0).collect();
-        let serial = vector::dot(&x, &y);
-        let parallel = vector::par_dot(&x, &y);
+        // Long enough for `dot` to split its blocks over the pool.
+        let _guard = sdc_parallel::test_serial_guard();
+        let long: Vec<f64> = x.iter().cycle().take(40_000).copied().collect();
+        let ylong: Vec<f64> = long.iter().map(|v| v * 0.5 + 1.0).collect();
+        sdc_parallel::set_threads(1);
+        let serial = vector::dot(&long, &ylong);
+        sdc_parallel::set_threads(4);
+        let parallel = vector::dot(&long, &ylong);
+        sdc_parallel::set_threads(0);
         prop_assert_eq!(serial.to_bits(), parallel.to_bits());
     }
 

@@ -18,15 +18,22 @@
 //!   kernels (SpMV, dots) nested in parallel campaign units neither
 //!   deadlock nor oversubscribe.
 //!
+//! Two region shapes exist: [`run_pieces`] (one fork-join over pieces,
+//! what SpMV and long dots use) and [`team()`] (a caller plus spinning
+//! helpers stepping through many short phases, what one Arnoldi step's
+//! Modified Gram-Schmidt uses).
+//!
 //! Thread count precedence: [`set_threads`] (the shared `--threads`
 //! flag) > the `SDC_THREADS` environment variable >
 //! `std::thread::available_parallelism()`.
 
 pub mod pool;
 pub mod reduce;
+pub mod team;
 
 pub use pool::{is_pool_worker, run_pieces, set_threads, threads};
-pub use reduce::{det_map_sum, pairwise_sum, BLOCK, PAIRWISE_BASE, PAR_MIN};
+pub use reduce::{combine_blocks, det_map_sum, pairwise_sum, BLOCK, PAIRWISE_BASE, PAR_MIN};
+pub use team::{team, Team, TEAM_MIN};
 
 /// Serializes tests (in any crate of this workspace) that mutate the
 /// global thread setting via [`set_threads`]. Without it, two

@@ -27,7 +27,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// One parallel region, submit → drain (timing channel: durations and
 /// piece distribution are scheduling accidents, never byte-diffed).
-static EV_RUN: sdc_obs::Callsite =
+pub(crate) static EV_RUN: sdc_obs::Callsite =
     sdc_obs::Callsite { name: "pool.run", channel: sdc_obs::Channel::Timing };
 /// One participant's share of a region: how many pieces it claimed.
 /// Claims beyond the submitter's are the pool's work-stealing in action.
@@ -87,9 +87,9 @@ pub fn is_pool_worker() -> bool {
 }
 
 /// One submitted parallel region.
-struct Job {
+pub(crate) struct Job {
     /// Borrowed from the submitting stack frame. Safety: the submitter
-    /// blocks in [`run_pieces`] until `completed == pieces`, and a piece
+    /// blocks in [`finish`] until `completed == pieces`, and a piece
     /// is only claimed (hence the pointer only dereferenced) before that
     /// point, so the closure outlives every use.
     body: *const (dyn Fn(usize) + Sync),
@@ -132,7 +132,7 @@ impl Job {
             if !self.panicked.load(Ordering::SeqCst) {
                 // SAFETY: piece `i` was claimed, so `completed < pieces`
                 // until it finishes and the submitter is still parked in
-                // `run_pieces` borrowing the closure.
+                // `finish` borrowing the closure.
                 let body = unsafe { &*self.body };
                 if let Err(payload) =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(i)))
@@ -219,6 +219,75 @@ fn worker_loop() {
     }
 }
 
+/// Queues `pieces` pieces of `body` for at most `workers` pool workers
+/// (spawning them if needed) without running any piece itself.
+///
+/// The caller must pass the returned job to [`finish`] before `body`
+/// goes out of scope: `finish` is what guarantees no worker still holds
+/// the (lifetime-erased) pointer to it.
+pub(crate) fn submit(pieces: usize, workers: usize, body: &(dyn Fn(usize) + Sync)) -> Arc<Job> {
+    ensure_workers(workers);
+    // SAFETY: the job's pointer to `body` is only dereferenced until the
+    // job's completion latch flips, and `finish` blocks on that latch
+    // while the caller still borrows `body` (see `Job::body`).
+    let body_erased: *const (dyn Fn(usize) + Sync) = unsafe {
+        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(body)
+    };
+    let job = Arc::new(Job {
+        body: body_erased,
+        pieces,
+        next: AtomicUsize::new(0),
+        completed: AtomicUsize::new(0),
+        worker_budget: AtomicIsize::new(workers as isize),
+        panicked: AtomicBool::new(false),
+        panic_payload: Mutex::new(None),
+        done: Mutex::new(false),
+        done_cv: Condvar::new(),
+    });
+    {
+        let mut q = pool().queue.lock().unwrap_or_else(|e| e.into_inner());
+        q.push_back(job.clone());
+    }
+    pool().queue_cv.notify_all();
+    job
+}
+
+/// Claims and runs every piece of `job` no worker has claimed yet, waits
+/// for the claimed ones to finish and removes the job from the queue.
+/// Returns the first piece's panic payload, if any piece panicked.
+pub(crate) fn finish(job: &Job) -> Option<Box<dyn std::any::Any + Send>> {
+    // Participate; mark the thread so nested regions inline.
+    let was_in_pool = IN_POOL.with(|f| f.replace(true));
+    job.work(true);
+    IN_POOL.with(|f| f.set(was_in_pool));
+
+    // Workers still running a piece usually finish within microseconds;
+    // a short spin saves the condvar round trip.
+    for _ in 0..FINISH_SPINS {
+        if job.completed.load(Ordering::Acquire) == job.pieces {
+            break;
+        }
+        std::hint::spin_loop();
+    }
+    let mut done = job.done.lock().unwrap_or_else(|e| e.into_inner());
+    while !*done {
+        done = job.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
+    }
+    drop(done);
+    {
+        let mut q = pool().queue.lock().unwrap_or_else(|e| e.into_inner());
+        q.retain(|j| !std::ptr::eq(Arc::as_ptr(j), job));
+    }
+    if job.panicked.load(Ordering::SeqCst) {
+        let payload = job.panic_payload.lock().unwrap_or_else(|e| e.into_inner()).take();
+        return Some(payload.unwrap_or_else(|| Box::new("sdc_parallel: a parallel task panicked")));
+    }
+    None
+}
+
+/// Spin iterations [`finish`] tries before parking on the latch.
+const FINISH_SPINS: usize = 2000;
+
 /// Runs `body(0) ..= body(pieces - 1)`, distributing piece indices over
 /// the pool, and returns once every piece has finished.
 ///
@@ -248,53 +317,11 @@ pub fn run_pieces(pieces: usize, body: &(dyn Fn(usize) + Sync)) {
     if let Some(span) = span.as_mut() {
         span.u64("pieces", pieces as u64).u64("inline", 0).u64("threads", threads() as u64);
     }
-    let extra_workers = threads() - 1;
-    ensure_workers(extra_workers);
-    // SAFETY: the job's pointer to `body` is only dereferenced while
-    // this frame is alive — we block on `done` below, which flips only
-    // after the final claimed piece completes (see `Job::body`).
-    let body_erased: *const (dyn Fn(usize) + Sync) = unsafe {
-        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(body)
-    };
-    let job = Arc::new(Job {
-        body: body_erased,
-        pieces,
-        next: AtomicUsize::new(0),
-        completed: AtomicUsize::new(0),
-        worker_budget: AtomicIsize::new(extra_workers as isize),
-        panicked: AtomicBool::new(false),
-        panic_payload: Mutex::new(None),
-        done: Mutex::new(false),
-        done_cv: Condvar::new(),
-    });
-    {
-        let mut q = pool().queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.push_back(job.clone());
-    }
-    pool().queue_cv.notify_all();
-
-    // Participate; mark the thread so nested regions inline.
-    let was_in_pool = IN_POOL.with(|f| f.replace(true));
-    job.work(true);
-    IN_POOL.with(|f| f.set(was_in_pool));
-
-    let mut done = job.done.lock().unwrap_or_else(|e| e.into_inner());
-    while !*done {
-        done = job.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
-    }
-    drop(done);
-    {
-        let mut q = pool().queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.retain(|j| !Arc::ptr_eq(j, &job));
-    }
-    if job.panicked.load(Ordering::SeqCst) {
+    let job = submit(pieces, threads() - 1, body);
+    if let Some(payload) = finish(&job) {
         // Re-raise the first piece's payload verbatim so the assertion
         // message and location read the same as a 1-thread run.
-        let payload = job.panic_payload.lock().unwrap_or_else(|e| e.into_inner()).take();
-        match payload {
-            Some(p) => std::panic::resume_unwind(p),
-            None => panic!("sdc_parallel: a parallel task panicked"),
-        }
+        std::panic::resume_unwind(payload);
     }
 }
 

@@ -54,6 +54,18 @@ pub fn pairwise_sum(xs: &[f64]) -> f64 {
     }
 }
 
+/// Combines per-block partials into the canonical result: a lone block
+/// is its own result, more are summed with [`pairwise_sum`] in block
+/// order. Callers that evaluate the blocks themselves (fused kernels, a
+/// team) use this to stay bitwise equal to [`det_map_sum`].
+#[inline]
+pub fn combine_blocks(partials: &[f64]) -> f64 {
+    match partials {
+        [only] => *only,
+        _ => pairwise_sum(partials),
+    }
+}
+
 /// Deterministic blocked map-reduce over `0..len`.
 ///
 /// `leaf(lo..hi)` reduces one block (block boundaries are multiples of
@@ -80,7 +92,7 @@ pub fn det_map_sum(len: usize, leaf: &(dyn Fn(Range<usize>) -> f64 + Sync)) -> f
     } else {
         (0..nblocks).map(|b| leaf(block_range(b))).collect()
     };
-    pairwise_sum(&partials)
+    combine_blocks(&partials)
 }
 
 #[cfg(test)]

@@ -29,10 +29,18 @@ fn par_spmv_bitwise_equals_spmv_at_experiment_scale() {
 
 #[test]
 fn par_dot_bitwise_equals_dot_at_experiment_scale() {
+    // Past PAR_MIN `dot` evaluates its blocks on the pool; one thread
+    // runs the same blocks in a loop.
+    let _guard = sdc_repro::parallel::test_serial_guard();
     let n = 100_000;
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.371).sin()).collect();
     let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.517).cos()).collect();
-    assert_eq!(vector::dot(&x, &y).to_bits(), vector::par_dot(&x, &y).to_bits());
+    sdc_repro::parallel::set_threads(1);
+    let serial = vector::dot(&x, &y);
+    sdc_repro::parallel::set_threads(4);
+    let parallel = vector::dot(&x, &y);
+    sdc_repro::parallel::set_threads(0);
+    assert_eq!(serial.to_bits(), parallel.to_bits());
 }
 
 #[test]
