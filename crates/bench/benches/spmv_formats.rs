@@ -4,16 +4,13 @@
 //! quick mode (`BENCH_QUICK=1`, same matrices, fewer samples) and fails
 //! on gross slowdowns via the `bench_gate` binary.
 //!
-//! Four engines per matrix: strict CSR and strict SELL under the
-//! auto-detected ISA, strict SELL under the forced scalar fallback
-//! (`sell_scalar` — the AVX2 speedup witness is the sell/sell_scalar
-//! ratio on poisson180), and the fast-math CSR tier (`csr_fastmath`).
+//! Three engines per matrix: CSR and SELL under the auto-detected ISA,
+//! and SELL under the forced scalar fallback (`sell_scalar` — the AVX2
+//! speedup witness is the sell/sell_scalar ratio on poisson180).
 //!
-//! Before timing anything, every strict product is compared *bitwise*
-//! against the 1-thread CSR result — the bench doubles as an end-to-end
-//! witness of the format/thread/SIMD determinism contract. The
-//! fast-math product is held to a relative-error bound instead; bitwise
-//! equality with strict is exactly what the tier gives up.
+//! Before timing anything, every product is compared *bitwise* against
+//! the 1-thread CSR result — the bench doubles as an end-to-end witness
+//! of the format/thread/SIMD determinism contract.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdc_sparse::simd::{set_mode, SimdMode};
@@ -50,15 +47,13 @@ fn cases() -> Vec<Case> {
 struct Engine {
     name: &'static str,
     simd: Option<SimdMode>,
-    fastmath: bool,
     sell: bool,
 }
 
-const ENGINES: [Engine; 4] = [
-    Engine { name: "csr", simd: None, fastmath: false, sell: false },
-    Engine { name: "sell", simd: None, fastmath: false, sell: true },
-    Engine { name: "sell_scalar", simd: Some(SimdMode::Scalar), fastmath: false, sell: true },
-    Engine { name: "csr_fastmath", simd: None, fastmath: true, sell: false },
+const ENGINES: [Engine; 3] = [
+    Engine { name: "csr", simd: None, sell: false },
+    Engine { name: "sell", simd: None, sell: true },
+    Engine { name: "sell_scalar", simd: Some(SimdMode::Scalar), sell: true },
 ];
 
 fn bench_spmv_formats(c: &mut Criterion) {
@@ -70,7 +65,6 @@ fn bench_spmv_formats(c: &mut Criterion) {
         sdc_parallel::set_threads(1);
         let mut reference = vec![0.0; a.nrows()];
         a.par_spmv(&x, &mut reference);
-        let ref_norm = reference.iter().map(|v| v * v).sum::<f64>().sqrt();
 
         let stats = sdc_sparse::structure::row_length_stats(a);
         println!(
@@ -89,45 +83,31 @@ fn bench_spmv_formats(c: &mut Criterion) {
                 set_mode(mode).expect("scalar fallback always available");
             }
             // Tag this engine's BENCH_JSON lines with the ISA it actually
-            // runs and its kernel tier, so baselines regenerated on SIMD
-            // hosts are self-describing and bench_gate can flag a
-            // machine-class mismatch.
+            // runs (and the strict kernel tier the baselines record), so
+            // baselines regenerated on SIMD hosts are self-describing and
+            // bench_gate can flag a machine-class mismatch.
             criterion::set_dump_context(&[
                 ("isa", sdc_sparse::simd::active().as_str()),
-                ("tier", if engine.fastmath { "fast_math" } else { "strict" }),
+                ("tier", "strict"),
             ]);
             let mut g = c.benchmark_group(format!("spmv_{}_{}", engine.name, case.name));
             g.sample_size(20);
             for t in THREAD_COUNTS {
                 sdc_parallel::set_threads(t);
                 let mut y = vec![0.0; a.nrows()];
-                let run = |y: &mut Vec<f64>| match (engine.sell, engine.fastmath) {
-                    (true, _) => sell.par_spmv(&x, y),
-                    (false, true) => a.par_spmv_fastmath(&x, y),
-                    (false, false) => a.par_spmv(&x, y),
+                let run = |y: &mut Vec<f64>| {
+                    if engine.sell {
+                        sell.par_spmv(&x, y)
+                    } else {
+                        a.par_spmv(&x, y)
+                    }
                 };
                 run(&mut y);
-                if engine.fastmath {
-                    // The tier trades bitwise identity for speed; it
-                    // must still land within a tight forward error.
-                    let err = y
-                        .iter()
-                        .zip(&reference)
-                        .map(|(p, q)| (p - q) * (p - q))
-                        .sum::<f64>()
-                        .sqrt();
-                    assert!(
-                        err <= 1e-12 * ref_norm.max(1.0),
-                        "{} fast-math SpMV drifted: ||err|| = {err:e}",
-                        engine.name
-                    );
-                } else {
-                    assert!(
-                        y.iter().zip(&reference).all(|(p, q)| p.to_bits() == q.to_bits()),
-                        "{} SpMV must be bitwise format-, thread- and SIMD-independent",
-                        engine.name
-                    );
-                }
+                assert!(
+                    y.iter().zip(&reference).all(|(p, q)| p.to_bits() == q.to_bits()),
+                    "{} SpMV must be bitwise format-, thread- and SIMD-independent",
+                    engine.name
+                );
                 g.bench_with_input(BenchmarkId::from_parameter(t), &t, |b, _| {
                     b.iter(|| {
                         run(black_box(&mut y));

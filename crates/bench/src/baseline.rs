@@ -32,7 +32,7 @@ pub struct BenchStats {
     /// Host ISA the dumping bench recorded via criterion's dump context
     /// (`"avx2"` / `"scalar"`); absent from dumps older than the tag.
     pub isa: Option<String>,
-    /// Kernel tier the benched engine ran (`"strict"` / `"fast_math"`);
+    /// Kernel tier the benched engine ran (`"strict"`, the only tier);
     /// absent from dumps older than the tag.
     pub tier: Option<String>,
 }
@@ -282,15 +282,15 @@ mod tests {
 
     #[test]
     fn dump_parses_the_isa_and_tier_tags() {
-        let text = "{\"id\":\"a/1\",\"samples\":5,\"min_us\":1.0,\"median_us\":2.0,\"mean_us\":2.0,\"isa\":\"avx2\",\"tier\":\"fast_math\"}";
+        let text = "{\"id\":\"a/1\",\"samples\":5,\"min_us\":1.0,\"median_us\":2.0,\"mean_us\":2.0,\"isa\":\"avx2\",\"tier\":\"strict\"}";
         let dump = parse_dump(text).unwrap();
         assert_eq!(dump["a/1"].isa.as_deref(), Some("avx2"));
-        assert_eq!(dump["a/1"].tier.as_deref(), Some("fast_math"));
+        assert_eq!(dump["a/1"].tier.as_deref(), Some("strict"));
         // The per-bench provenance survives into the emitted baseline's
         // stats block.
         let baseline = emit_baseline(&dump, "", "", 1, "avx2");
         assert!(baseline.contains("\"isa\":\"avx2\""), "{baseline}");
-        assert!(baseline.contains("\"tier\":\"fast_math\""), "{baseline}");
+        assert!(baseline.contains("\"tier\":\"strict\""), "{baseline}");
     }
 
     #[test]

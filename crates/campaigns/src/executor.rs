@@ -497,7 +497,6 @@ pub fn run(
                         &ft_configs[u.scenario_idx],
                         point,
                         spec.format,
-                        spec.kernel_tier,
                         p.precond(spec.precond).expect("validated at plan time"),
                     )
                 };

@@ -1,9 +1,8 @@
 //! The evaluation problems of §VII-A.
 
-use sdc_gmres::operator::LinearOperator;
 use sdc_gmres::precond::{BuiltPrecond, PrecondKind};
 use sdc_sparse::gallery::{self, CircuitMnaConfig};
-use sdc_sparse::{io, CsrMatrix, KernelTier, SellMatrix, SparseFormat};
+use sdc_sparse::{io, CsrMatrix, SellMatrix, SparseFormat};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -76,58 +75,11 @@ impl Problem {
         }
     }
 
-    /// The operator at an explicit kernel tier. `Strict` is exactly
-    /// [`Problem::operator`]; `FastMath` swaps in the intra-row-fused
-    /// CSR kernel (the tier is CSR-only, so a `sell`/`auto` format
-    /// request at `FastMath` still runs the *strict* SELL engine — the
-    /// spec layer documents this as "fast_math implies csr").
-    pub fn operator_tiered(&self, format: SparseFormat, tier: KernelTier) -> TieredOp<'_> {
-        match (tier, self.resolved_format(format)) {
-            (KernelTier::FastMath, SparseFormat::Csr) => TieredOp::Fast(&self.a),
-            _ => TieredOp::Strict(self.operator(format)),
-        }
-    }
-
     /// The concrete engine [`Problem::operator`] picks for `format`.
     pub fn resolved_format(&self, format: SparseFormat) -> SparseFormat {
         match format {
             SparseFormat::Auto => *self.auto.get_or_init(|| sdc_sparse::auto_format(&self.a)),
             concrete => concrete,
-        }
-    }
-}
-
-/// A problem's operator committed to one kernel tier.
-///
-/// `Strict` wraps whichever strict engine [`Problem::operator`] picked;
-/// `Fast` runs [`CsrMatrix::par_spmv_fastmath`], the explicitly
-/// versioned fast-math tier. The enum keeps tier dispatch out of the
-/// per-apply hot path's vtable chain and lets call sites borrow the
-/// problem's cached storage.
-pub enum TieredOp<'a> {
-    /// Bitwise-reproducible kernels (the default tier).
-    Strict(&'a dyn LinearOperator),
-    /// Fast-math CSR kernels (opt-in, separate goldens).
-    Fast(&'a CsrMatrix),
-}
-
-impl LinearOperator for TieredOp<'_> {
-    fn nrows(&self) -> usize {
-        match self {
-            TieredOp::Strict(op) => op.nrows(),
-            TieredOp::Fast(a) => a.nrows(),
-        }
-    }
-    fn ncols(&self) -> usize {
-        match self {
-            TieredOp::Strict(op) => op.ncols(),
-            TieredOp::Fast(a) => a.ncols(),
-        }
-    }
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        match self {
-            TieredOp::Strict(op) => op.apply(x, y),
-            TieredOp::Fast(a) => a.par_spmv_fastmath(x, y),
         }
     }
 }

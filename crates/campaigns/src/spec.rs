@@ -22,6 +22,22 @@ use std::path::PathBuf;
 /// Current spec/artifact format version.
 pub const FORMAT_VERSION: u64 = 1;
 
+/// Every top-level key [`CampaignSpec::to_json`] can emit.
+const SPEC_KEYS: [&str; 12] = [
+    "version",
+    "name",
+    "problems",
+    "inner_iters",
+    "outer_tol",
+    "outer_max",
+    "stride",
+    "seed",
+    "norm2_iters",
+    "blocks",
+    "format",
+    "precond",
+];
+
 /// How one evaluation problem is constructed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ProblemSpec {
@@ -451,15 +467,6 @@ pub struct CampaignSpec {
     /// which is why it lives in the spec and therefore in the artifact
     /// header.
     pub precond: PrecondKind,
-    /// Arithmetic contract for the SpMV kernels (`strict` or
-    /// `fast_math`). `strict` — the default, omitted from the JSON so
-    /// legacy specs and artifact headers keep their exact bytes — runs
-    /// the bitwise-reproducible kernels. `fast_math` opts into the
-    /// intra-row-fused CSR kernel: results differ from `strict` (within
-    /// a forward-error bound) but are still deterministic run-to-run and
-    /// host-independent, so fast-math campaigns get their *own* goldens.
-    /// The tier is CSR-only; `fast_math` implies the CSR engine.
-    pub kernel_tier: sdc_sparse::KernelTier,
     /// The scenario grid, as a union of cross-product blocks.
     pub blocks: Vec<GridBlock>,
 }
@@ -479,7 +486,6 @@ impl CampaignSpec {
             norm2_iters: 0,
             format: sdc_sparse::SparseFormat::Auto,
             precond: PrecondKind::None,
-            kernel_tier: sdc_sparse::KernelTier::Strict,
             blocks: vec![GridBlock::undetected_full(), GridBlock::detector_class1()],
         }
     }
@@ -495,7 +501,6 @@ impl CampaignSpec {
             inner_lsq: scenario.lsq.policy(),
             format: self.format,
             precond: self.precond,
-            tier: self.kernel_tier,
         }
     }
 
@@ -511,7 +516,6 @@ impl CampaignSpec {
             inner_lsq: lsq.policy(),
             format: self.format,
             precond: self.precond,
-            tier: self.kernel_tier,
         }
     }
 
@@ -578,14 +582,18 @@ impl CampaignSpec {
         if self.precond != PrecondKind::None {
             fields.push(("precond", Json::str(self.precond.as_str())));
         }
-        if self.kernel_tier != sdc_sparse::KernelTier::Strict {
-            fields.push(("kernel_tier", Json::str(self.kernel_tier.as_str())));
-        }
         Json::obj(fields)
     }
 
-    /// Parses and validates a spec.
+    /// Parses and validates a spec. A key [`CampaignSpec::to_json`]
+    /// never emits is an error, so a misspelled or retired field fails
+    /// loudly instead of silently running the default.
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
+        if let Json::Obj(m) = v {
+            if let Some(k) = m.keys().find(|k| !SPEC_KEYS.contains(&k.as_str())) {
+                return Err(JsonError { offset: 0, msg: format!("unknown spec field '{k}'") });
+            }
+        }
         let version = v.field("version")?.as_u64()?;
         if version != FORMAT_VERSION {
             return Err(JsonError {
@@ -620,11 +628,6 @@ impl CampaignSpec {
                     PrecondKind::parse(p.as_str()?).map_err(|msg| JsonError { offset: 0, msg })?
                 }
                 None => PrecondKind::None,
-            },
-            kernel_tier: match v.get("kernel_tier") {
-                Some(t) => sdc_sparse::KernelTier::parse(t.as_str()?)
-                    .map_err(|msg| JsonError { offset: 0, msg })?,
-                None => sdc_sparse::KernelTier::Strict,
             },
             blocks: v
                 .field("blocks")?
@@ -707,7 +710,6 @@ mod tests {
             norm2_iters: 0,
             format: sdc_sparse::SparseFormat::Auto,
             precond: PrecondKind::None,
-            kernel_tier: sdc_sparse::KernelTier::Strict,
             blocks: vec![GridBlock::undetected_full(), GridBlock::detector_class1()],
         }
     }
@@ -773,28 +775,21 @@ mod tests {
     }
 
     #[test]
-    fn kernel_tier_field_round_trips_and_defaults_to_strict() {
-        use sdc_sparse::KernelTier;
-        // Default (strict) is omitted from the serialization: legacy
-        // specs and artifact headers keep their exact bytes.
-        let spec = sample_spec();
-        assert!(!spec.to_json().to_line().contains("kernel_tier"));
-        assert_eq!(
-            CampaignSpec::parse(&spec.to_json().to_line()).unwrap().kernel_tier,
-            KernelTier::Strict
-        );
-        // The non-default tier round-trips and reaches both configs.
-        let spec = CampaignSpec { kernel_tier: KernelTier::FastMath, ..sample_spec() };
+    fn unknown_top_level_keys_are_rejected() {
+        // Every key to_json can emit parses back.
+        let spec = CampaignSpec {
+            format: sdc_sparse::SparseFormat::Sell,
+            precond: PrecondKind::Ilu0,
+            ..sample_spec()
+        };
         let line = spec.to_json().to_line();
-        assert!(line.contains("\"kernel_tier\":\"fast_math\""), "{line}");
-        let back = CampaignSpec::parse(&line).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.campaign_config(&back.scenarios()[0]).tier, KernelTier::FastMath);
-        assert_eq!(back.baseline_config(LsqSpec::Standard).tier, KernelTier::FastMath);
-        // Unknown strings are a structured parse error, not a default.
-        let bad = sample_spec().to_json().to_line().replacen("{", "{\"kernel_tier\":\"loose\",", 1);
-        let err = CampaignSpec::parse(&bad).unwrap_err();
-        assert!(err.msg.contains("unknown kernel tier 'loose'"), "{}", err.msg);
+        assert_eq!(CampaignSpec::parse(&line).unwrap(), spec);
+        // A retired field and a typo are structured errors, not defaults.
+        for (key, value) in [("kernel_tier", "\"strict\""), ("strid", "5")] {
+            let bad = line.replacen('{', &format!("{{\"{key}\":{value},"), 1);
+            let err = CampaignSpec::parse(&bad).unwrap_err();
+            assert_eq!(err.msg, format!("unknown spec field '{key}'"));
+        }
     }
 
     #[test]

@@ -43,11 +43,6 @@ pub struct CampaignConfig {
     /// unpreconditioned solver bit-for-bit, including the legacy
     /// Frobenius detector bound.
     pub precond: PrecondKind,
-    /// SpMV kernel tier. `Strict` (the default, elided from specs and
-    /// artifacts) keeps every byte identical to the legacy solver;
-    /// `FastMath` opts into the intra-row-fused CSR kernel, which
-    /// changes solve trajectories and is pinned by its own goldens.
-    pub tier: sdc_sparse::KernelTier,
 }
 
 impl Default for CampaignConfig {
@@ -61,7 +56,6 @@ impl Default for CampaignConfig {
             inner_lsq: LstsqPolicy::Standard,
             format: sdc_sparse::SparseFormat::Auto,
             precond: PrecondKind::None,
-            tier: sdc_sparse::KernelTier::Strict,
         }
     }
 }
@@ -90,14 +84,9 @@ impl CampaignConfig {
             },
             inner_iters: self.inner_iters,
             inner_lsq_policy: self.inner_lsq,
-            inner_detector: self.detector_response.map(|resp| {
-                if precond.is_none() {
-                    SdcDetector::with_frobenius_bound(a, resp)
-                } else {
-                    SdcDetector::with_preconditioned_bound(a, precond, resp)
-                }
-            }),
-            ..Default::default()
+            inner_detector: self
+                .detector_response
+                .map(|resp| SdcDetector::for_precond(a, precond, resp)),
         }
     }
 
@@ -178,9 +167,9 @@ impl SweepResult {
 pub fn failure_free(p: &Problem, cfg: &CampaignConfig) -> SolveReport {
     let pc = cfg.precond(p);
     let ft = cfg.ft_config_with(&p.a, pc);
-    let op = p.operator_tiered(cfg.format, cfg.tier);
+    let op = p.operator(cfg.format);
     let (_, rep) =
-        sdc_gmres::ftgmres::ftgmres_solve_precond(&op, &p.b, None, &ft, pc, &sdc_faults::NoFaults);
+        sdc_gmres::ftgmres::ftgmres_solve_precond(op, &p.b, None, &ft, pc, &sdc_faults::NoFaults);
     rep
 }
 
@@ -207,7 +196,7 @@ pub fn run_sweep(
                 class,
                 position,
             };
-            run_experiment(p, &ft, point, cfg.format, cfg.tier, pc)
+            run_experiment(p, &ft, point, cfg.format, pc)
         })
         .collect();
     SweepResult { class, position, failure_free_outer, points }
@@ -218,19 +207,17 @@ pub fn run_sweep(
 /// Both [`run_sweep`] and the campaign executor go through this function,
 /// so a sweep point and the corresponding artifact record are guaranteed
 /// to be the same computation. `format` picks the SpMV engine; results
-/// are bitwise independent of it. `tier` picks the arithmetic contract;
-/// `FastMath` results differ from `Strict` (but deterministically so).
+/// are bitwise independent of it.
 pub fn run_experiment(
     p: &Problem,
     ft: &FtGmresConfig,
     point: CampaignPoint,
     format: sdc_sparse::SparseFormat,
-    tier: sdc_sparse::KernelTier,
     precond: &BuiltPrecond,
 ) -> SweepPoint {
     let inj = point.injector();
-    let op = p.operator_tiered(format, tier);
-    let (x, rep) = sdc_gmres::ftgmres::ftgmres_solve_precond(&op, &p.b, None, ft, precond, &inj);
+    let op = p.operator(format);
+    let (x, rep) = sdc_gmres::ftgmres::ftgmres_solve_precond(op, &p.b, None, ft, precond, &inj);
     let mut r = vec![0.0; p.b.len()];
     sdc_gmres::operator::residual(&p.a, &p.b, &x, &mut r);
     let true_rel = sdc_dense::vector::nrm2(&r) / sdc_dense::vector::nrm2(&p.b).max(1e-300);
@@ -260,7 +247,6 @@ mod tests {
             inner_lsq: LstsqPolicy::Standard,
             format: sdc_sparse::SparseFormat::Auto,
             precond: PrecondKind::None,
-            tier: sdc_sparse::KernelTier::Strict,
         }
     }
 

@@ -72,7 +72,8 @@ impl SdcDetector {
     /// converges from below; the `‖A‖_F ≥ ‖A‖₂` slack absorbs the rest).
     /// For the `none` kind this is `2·‖A‖_F` — still exact, just looser
     /// than [`SdcDetector::with_frobenius_bound`]; callers keep the
-    /// legacy constructor on unpreconditioned solves.
+    /// legacy constructor on unpreconditioned solves (see
+    /// [`SdcDetector::for_precond`]).
     pub fn with_preconditioned_bound(
         a: &sdc_sparse::CsrMatrix,
         precond: &crate::precond::BuiltPrecond,
@@ -81,6 +82,21 @@ impl SdcDetector {
         const SAFETY: f64 = 2.0;
         let minv = precond.inv_norm_est(a.nrows(), 8).max(1.0);
         Self { bound: a.norm_fro() * minv * SAFETY, response }
+    }
+
+    /// The bound for the iteration a right preconditioner shapes: the
+    /// Frobenius bound when `precond` is `none` (plain Arnoldi on `A`),
+    /// the preconditioned bound when the iteration projects `A·M⁻¹`.
+    pub fn for_precond(
+        a: &sdc_sparse::CsrMatrix,
+        precond: &crate::precond::BuiltPrecond,
+        response: DetectorResponse,
+    ) -> Self {
+        if precond.is_none() {
+            Self::with_frobenius_bound(a, response)
+        } else {
+            Self::with_preconditioned_bound(a, precond, response)
+        }
     }
 
     /// Checks a Hessenberg value; `Some(violation)` if it is impossible

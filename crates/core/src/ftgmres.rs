@@ -20,24 +20,17 @@
 use crate::detector::SdcDetector;
 use crate::fgmres::{fgmres_solve, FgmresConfig, FlexiblePreconditioner, PrecondReport};
 use crate::gmres::{gmres_solve_instrumented, GmresConfig, SiteContext};
-use crate::operator::LinearOperator;
-use crate::ortho::OrthoStrategy;
+use crate::operator::{FnOperator, LinearOperator};
 use crate::precond::{BuiltPrecond, FaultedPrecond};
 use crate::telemetry::{SolveOutcome, SolveReport};
 use sdc_dense::lstsq::LstsqPolicy;
 use sdc_faults::{FaultInjector, NoFaults};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// How the reliable outer layer validates inner-solve output.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InnerValidation {
-    /// Accept anything (the raw sandbox contract only).
-    None,
-    /// Reject non-finite results and fall back to `z = q`.
-    RejectNonFinite,
-}
-
-/// FT-GMRES configuration.
+/// FT-GMRES configuration. The inner solves always orthogonalize with
+/// MGS, and the outer layer always rejects non-finite inner results.
 #[derive(Clone, Copy, Debug)]
 pub struct FtGmresConfig {
     /// Outer (reliable) solver settings.
@@ -45,14 +38,10 @@ pub struct FtGmresConfig {
     /// Iterations each inner solve performs (25 in the paper's
     /// experiments). The inner solver runs in fixed-iteration mode.
     pub inner_iters: usize,
-    /// Inner orthogonalization variant.
-    pub inner_ortho: OrthoStrategy,
     /// Inner projected least-squares policy (§VI-D ablations).
     pub inner_lsq_policy: LstsqPolicy,
     /// The inner solve's SDC detector (None = undetected baseline).
     pub inner_detector: Option<SdcDetector>,
-    /// Outer validation of inner results.
-    pub validation: InnerValidation,
 }
 
 impl Default for FtGmresConfig {
@@ -60,36 +49,81 @@ impl Default for FtGmresConfig {
         Self {
             outer: FgmresConfig::default(),
             inner_iters: 25,
-            inner_ortho: OrthoStrategy::Mgs,
             inner_lsq_policy: LstsqPolicy::Standard,
             inner_detector: None,
-            validation: InnerValidation::RejectNonFinite,
+        }
+    }
+}
+
+impl FtGmresConfig {
+    /// The inner solve's GMRES settings: fixed-iteration mode (`tol` 0
+    /// runs all `inner_iters`), unrestarted, MGS.
+    fn inner_config(&self) -> GmresConfig {
+        GmresConfig {
+            tol: 0.0,
+            max_iters: self.inner_iters,
+            restart: None,
+            lsq_policy: self.inner_lsq_policy,
+            detector: self.inner_detector,
+            ..Default::default()
         }
     }
 }
 
 /// The unreliable inner solve, packaged as a flexible preconditioner.
+///
+/// Without a preconditioner the inner GMRES runs on `A` itself. With one,
+/// it runs on `B = A·M⁻¹` (both the operator applies and the
+/// orthogonalization passing through the fault injector — `M` is the
+/// sequel paper's opaque preconditioner, corruptible via
+/// [`FaultedPrecond`]), and the returned direction is `z = M⁻¹u`, mapped
+/// through the *clean* application (stored-factor corruption, being
+/// persistent, still applies). The outer FGMRES remains reliable and
+/// unpreconditioned — the residual identity `b − A x = b − B u` keeps
+/// its convergence checks and detector bounds valid; see
+/// [`crate::precond`].
 pub struct InnerGmresPrecond<'a, A: LinearOperator + ?Sized> {
     a: &'a A,
     cfg: GmresConfig,
+    precond: Option<FaultedPrecond<'a>>,
     injector: &'a dyn FaultInjector,
-    validation: InnerValidation,
 }
 
 impl<'a, A: LinearOperator + ?Sized> InnerGmresPrecond<'a, A> {
     /// Builds the inner-solve preconditioner from an FT-GMRES config.
-    pub fn new(a: &'a A, ft: &FtGmresConfig, injector: &'a dyn FaultInjector) -> Self {
-        let cfg = GmresConfig {
-            tol: 0.0, // fixed-iteration mode: run all inner iterations
-            max_iters: ft.inner_iters,
-            restart: None,
-            ortho: ft.inner_ortho,
-            lsq_policy: ft.inner_lsq_policy,
-            detector: ft.inner_detector,
-            breakdown_rel: 1e-13,
-            max_detector_restarts: 4,
+    pub fn new(
+        a: &'a A,
+        ft: &FtGmresConfig,
+        precond: &'a BuiltPrecond,
+        injector: &'a dyn FaultInjector,
+    ) -> Self {
+        let precond = (!precond.is_none()).then(|| FaultedPrecond::new(precond, injector));
+        Self { a, cfg: ft.inner_config(), precond, injector }
+    }
+
+    /// The unreliable guest phase: the inner GMRES solve of `A u = q`
+    /// (or `A·M⁻¹ u = q`), returning `u` before any mapping back.
+    fn guest_solve(&self, outer_iteration: usize, q: &[f64]) -> (Vec<f64>, SolveReport) {
+        let ctx = SiteContext { outer_iteration, inner_solve: outer_iteration };
+        let Some(precond) = &self.precond else {
+            return gmres_solve_instrumented(self.a, q, None, &self.cfg, self.injector, ctx);
         };
-        Self { a, cfg, injector, validation: ft.validation }
+        let n = self.a.nrows();
+        let a = self.a;
+        // Apply-ordinal counter for transient preconditioner faults.
+        // Atomic only because `FnOperator` requires `Fn + Sync`; the
+        // inner GMRES applies the operator strictly sequentially, so the
+        // ordinal sequence is deterministic.
+        let applies = AtomicUsize::new(0);
+        // One `M⁻¹u` buffer for every apply (each solve overwrites it).
+        let m_u = Mutex::new(vec![0.0; n]);
+        let op = FnOperator::square(n, |u: &[f64], y: &mut [f64]| {
+            let ordinal = applies.fetch_add(1, Ordering::Relaxed) + 1;
+            let mut m_u = m_u.lock().unwrap_or_else(|e| e.into_inner());
+            precond.solve_faulted(u, &mut m_u, outer_iteration, ordinal);
+            a.apply(&m_u, y);
+        });
+        gmres_solve_instrumented(&op, q, None, &self.cfg, self.injector, ctx)
     }
 }
 
@@ -101,47 +135,36 @@ impl<'a, A: LinearOperator + ?Sized> FlexiblePreconditioner for InnerGmresPrecon
         z: &mut [f64],
     ) -> PrecondReport {
         let mut preport = PrecondReport::default();
-        // ---- Unreliable guest phase: solve A z = q approximately.
+        let injections_before = self.injector.records().len();
         // catch_unwind converts a guest panic into a reportable event
         // (the sandbox's "returns something" promise).
-        let ctx = SiteContext { outer_iteration, inner_solve: outer_iteration };
-        let injections_before = self.injector.records().len();
-        let guest = catch_unwind(AssertUnwindSafe(|| {
-            gmres_solve_instrumented(self.a, q, None, &self.cfg, self.injector, ctx)
-        }));
-
-        match guest {
-            Ok((zg, inner_rep)) => {
-                preport.inner_iterations = inner_rep.iterations;
-                preport.detector_events = inner_rep.detector_events;
-                preport.detector_restarts = inner_rep.detector_restarts;
-                preport.injections =
-                    self.injector.records().into_iter().skip(injections_before).collect();
-                if let SolveOutcome::Halted(v) = inner_rep.outcome {
-                    preport.halted = Some(v);
-                    // Hand back the (loud) fallback anyway so the caller
-                    // has defined data if it chooses to continue.
-                    z.copy_from_slice(q);
-                    return preport;
-                }
-                // ---- Reliable host phase: validate before use.
-                let ok = match self.validation {
-                    InnerValidation::None => true,
-                    InnerValidation::RejectNonFinite => sdc_dense::all_finite(&zg),
-                };
-                if ok {
-                    z.copy_from_slice(&zg);
-                } else {
-                    preport.rejected = true;
-                    z.copy_from_slice(q);
-                }
-            }
-            Err(_) => {
-                // Guest crashed: sandbox converts the hard fault into a
-                // rejection; the solve continues with z = q.
-                preport.rejected = true;
-                z.copy_from_slice(q);
-            }
+        let guest = catch_unwind(AssertUnwindSafe(|| self.guest_solve(outer_iteration, q)));
+        let Ok((u, inner_rep)) = guest else {
+            // Guest crashed: the hard fault becomes a rejection; the
+            // solve continues with z = q.
+            preport.rejected = true;
+            z.copy_from_slice(q);
+            return preport;
+        };
+        preport.inner_iterations = inner_rep.iterations;
+        preport.detector_events = inner_rep.detector_events;
+        preport.detector_restarts = inner_rep.detector_restarts;
+        preport.injections = self.injector.records().into_iter().skip(injections_before).collect();
+        if let SolveOutcome::Halted(v) = inner_rep.outcome {
+            preport.halted = Some(v);
+            // Hand back the (loud) fallback anyway so the caller has
+            // defined data if it chooses to continue.
+            z.copy_from_slice(q);
+            return preport;
+        }
+        // ---- Reliable host phase: map u back, validate before use.
+        match &self.precond {
+            None => z.copy_from_slice(&u),
+            Some(precond) => precond.solve_clean(&u, z),
+        }
+        if !sdc_dense::all_finite(z) {
+            preport.rejected = true;
+            z.copy_from_slice(q);
         }
         preport
     }
@@ -170,129 +193,14 @@ pub fn ftgmres_solve_instrumented<A: LinearOperator + ?Sized>(
     cfg: &FtGmresConfig,
     injector: &dyn FaultInjector,
 ) -> (Vec<f64>, SolveReport) {
-    let mut precond = InnerGmresPrecond::new(a, cfg, injector);
-    fgmres_solve(a, b, x0, &cfg.outer, &mut precond)
-}
-
-/// The unreliable inner solve with a *right-preconditioned* operator:
-/// the inner GMRES runs on `B = A·M⁻¹` (both the operator applies and
-/// the orthogonalization passing through the fault injector — `M` is the
-/// sequel paper's opaque preconditioner, corruptible via
-/// [`FaultedPrecond`]), and the returned direction is `z = M⁻¹u`, mapped
-/// through the *clean* application (stored-factor corruption, being
-/// persistent, still applies). The outer FGMRES remains reliable and
-/// unpreconditioned — the residual identity `b − A x = b − B u` keeps
-/// its convergence checks and detector bounds valid; see
-/// [`crate::precond`].
-pub struct PrecondInnerGmres<'a, A: LinearOperator + ?Sized> {
-    a: &'a A,
-    cfg: GmresConfig,
-    precond: FaultedPrecond<'a>,
-    injector: &'a dyn FaultInjector,
-    validation: InnerValidation,
-}
-
-impl<'a, A: LinearOperator + ?Sized> PrecondInnerGmres<'a, A> {
-    /// Builds the preconditioned inner solve from an FT-GMRES config.
-    pub fn new(
-        a: &'a A,
-        ft: &FtGmresConfig,
-        precond: &'a BuiltPrecond,
-        injector: &'a dyn FaultInjector,
-    ) -> Self {
-        let cfg = GmresConfig {
-            tol: 0.0,
-            max_iters: ft.inner_iters,
-            restart: None,
-            ortho: ft.inner_ortho,
-            lsq_policy: ft.inner_lsq_policy,
-            detector: ft.inner_detector,
-            breakdown_rel: 1e-13,
-            max_detector_restarts: 4,
-        };
-        Self {
-            a,
-            cfg,
-            precond: FaultedPrecond::new(precond, injector),
-            injector,
-            validation: ft.validation,
-        }
-    }
-}
-
-impl<'a, A: LinearOperator + ?Sized> FlexiblePreconditioner for PrecondInnerGmres<'a, A> {
-    fn apply_flexible(
-        &mut self,
-        outer_iteration: usize,
-        q: &[f64],
-        z: &mut [f64],
-    ) -> PrecondReport {
-        let mut preport = PrecondReport::default();
-        let n = self.a.nrows();
-        let ctx = SiteContext { outer_iteration, inner_solve: outer_iteration };
-        let injections_before = self.injector.records().len();
-
-        // Apply-ordinal counter for transient preconditioner faults.
-        // Atomic only because `FnOperator` requires `Fn + Sync`; the
-        // inner GMRES applies the operator strictly sequentially, so the
-        // ordinal sequence is deterministic.
-        let applies = std::sync::atomic::AtomicUsize::new(0);
-        let a = self.a;
-        let precond = &self.precond;
-        // One `M⁻¹u` buffer for every apply (each solve overwrites it).
-        let m_u = std::sync::Mutex::new(vec![0.0; n]);
-        let op = crate::operator::FnOperator::square(n, |u: &[f64], y: &mut [f64]| {
-            let ordinal = applies.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            let mut m_u = m_u.lock().unwrap_or_else(|e| e.into_inner());
-            precond.solve_faulted(u, &mut m_u, outer_iteration, ordinal);
-            a.apply(&m_u, y);
-        });
-
-        let guest = catch_unwind(AssertUnwindSafe(|| {
-            gmres_solve_instrumented(&op, q, None, &self.cfg, self.injector, ctx)
-        }));
-
-        match guest {
-            Ok((u, inner_rep)) => {
-                preport.inner_iterations = inner_rep.iterations;
-                preport.detector_events = inner_rep.detector_events;
-                preport.detector_restarts = inner_rep.detector_restarts;
-                preport.injections =
-                    self.injector.records().into_iter().skip(injections_before).collect();
-                if let SolveOutcome::Halted(v) = inner_rep.outcome {
-                    preport.halted = Some(v);
-                    z.copy_from_slice(q);
-                    return preport;
-                }
-                // Reliable host phase: map u back through the clean
-                // application, then validate the direction before use.
-                self.precond.solve_clean(&u, z);
-                let ok = match self.validation {
-                    InnerValidation::None => true,
-                    InnerValidation::RejectNonFinite => sdc_dense::all_finite(z),
-                };
-                if !ok {
-                    preport.rejected = true;
-                    z.copy_from_slice(q);
-                }
-            }
-            Err(_) => {
-                preport.rejected = true;
-                z.copy_from_slice(q);
-            }
-        }
-        preport
-    }
-
-    fn name(&self) -> &'static str {
-        "inner-gmres (unreliable, right-preconditioned)"
-    }
+    ftgmres_solve_precond(a, b, x0, cfg, &BuiltPrecond::None, injector)
 }
 
 /// FT-GMRES with a right-preconditioned inner solve and the
-/// opaque-preconditioner fault surface armed. With
-/// [`PrecondKind::None`](crate::precond::PrecondKind::None) this *is*
-/// [`ftgmres_solve_instrumented`], bit for bit.
+/// opaque-preconditioner fault surface armed (see
+/// [`InnerGmresPrecond`]). With
+/// [`PrecondKind::None`](crate::precond::PrecondKind::None) this is
+/// [`ftgmres_solve_instrumented`].
 pub fn ftgmres_solve_precond<A: LinearOperator + ?Sized>(
     a: &A,
     b: &[f64],
@@ -301,126 +209,8 @@ pub fn ftgmres_solve_precond<A: LinearOperator + ?Sized>(
     precond: &BuiltPrecond,
     injector: &dyn FaultInjector,
 ) -> (Vec<f64>, SolveReport) {
-    if precond.is_none() {
-        return ftgmres_solve_instrumented(a, b, x0, cfg, injector);
-    }
-    let mut p = PrecondInnerGmres::new(a, cfg, precond, injector);
-    fgmres_solve(a, b, x0, &cfg.outer, &mut p)
-}
-
-/// The fully sandboxed inner solve: each guest runs on its own thread
-/// under a wall-clock budget, realizing the complete §IV contract — the
-/// host "can force guest code to stop within a predefined finite time",
-/// converting hangs (e.g. livelocked guest code) into rejections.
-///
-/// Requires owned (`'static`) captures, hence the `Arc`s. Generic over
-/// the operator so sandboxed inner solves run on any storage format
-/// (CSR, SELL-C-σ, [`sdc_sparse::FormatMatrix`]) or matrix-free operator.
-pub struct SandboxedInnerGmres<A: LinearOperator + Send + Sync + 'static = sdc_sparse::CsrMatrix> {
-    a: std::sync::Arc<A>,
-    cfg: GmresConfig,
-    injector: std::sync::Arc<dyn FaultInjector + 'static>,
-    sandbox: sdc_faults::SandboxConfig,
-    validation: InnerValidation,
-}
-
-impl<A: LinearOperator + Send + Sync + 'static> SandboxedInnerGmres<A> {
-    /// Builds the sandboxed preconditioner with the given time budget.
-    pub fn new(
-        a: std::sync::Arc<A>,
-        ft: &FtGmresConfig,
-        injector: std::sync::Arc<dyn FaultInjector + 'static>,
-        budget: std::time::Duration,
-    ) -> Self {
-        let cfg = GmresConfig {
-            tol: 0.0,
-            max_iters: ft.inner_iters,
-            restart: None,
-            ortho: ft.inner_ortho,
-            lsq_policy: ft.inner_lsq_policy,
-            detector: ft.inner_detector,
-            breakdown_rel: 1e-13,
-            max_detector_restarts: 4,
-        };
-        Self {
-            a,
-            cfg,
-            injector,
-            sandbox: sdc_faults::SandboxConfig { time_budget: Some(budget) },
-            validation: ft.validation,
-        }
-    }
-}
-
-impl<A: LinearOperator + Send + Sync + 'static> FlexiblePreconditioner for SandboxedInnerGmres<A> {
-    fn apply_flexible(
-        &mut self,
-        outer_iteration: usize,
-        q: &[f64],
-        z: &mut [f64],
-    ) -> PrecondReport {
-        let mut preport = PrecondReport::default();
-        let a = std::sync::Arc::clone(&self.a);
-        let injector = std::sync::Arc::clone(&self.injector);
-        let cfg = self.cfg;
-        let rhs = q.to_vec();
-        let ctx = SiteContext { outer_iteration, inner_solve: outer_iteration };
-        let injections_before = self.injector.records().len();
-
-        let guest = sdc_faults::run_sandboxed(self.sandbox, move || {
-            gmres_solve_instrumented(a.as_ref(), &rhs, None, &cfg, injector.as_ref(), ctx)
-        });
-
-        match guest {
-            Ok((zg, inner_rep)) => {
-                preport.inner_iterations = inner_rep.iterations;
-                preport.detector_events = inner_rep.detector_events;
-                preport.detector_restarts = inner_rep.detector_restarts;
-                preport.injections =
-                    self.injector.records().into_iter().skip(injections_before).collect();
-                if let SolveOutcome::Halted(v) = inner_rep.outcome {
-                    preport.halted = Some(v);
-                    z.copy_from_slice(q);
-                    return preport;
-                }
-                let ok = match self.validation {
-                    InnerValidation::None => true,
-                    InnerValidation::RejectNonFinite => sdc_dense::all_finite(&zg),
-                };
-                if ok {
-                    z.copy_from_slice(&zg);
-                } else {
-                    preport.rejected = true;
-                    z.copy_from_slice(q);
-                }
-            }
-            Err(_timeout_or_panic) => {
-                // Hung or crashed guest: the host regains control within
-                // its budget and substitutes the identity application.
-                preport.rejected = true;
-                z.copy_from_slice(q);
-            }
-        }
-        preport
-    }
-
-    fn name(&self) -> &'static str {
-        "inner-gmres (sandboxed thread, time budget)"
-    }
-}
-
-/// FT-GMRES with thread-isolated, time-budgeted inner solves.
-pub fn ftgmres_solve_sandboxed<A: LinearOperator + Send + Sync + 'static>(
-    a: std::sync::Arc<A>,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    cfg: &FtGmresConfig,
-    injector: std::sync::Arc<dyn FaultInjector + 'static>,
-    budget: std::time::Duration,
-) -> (Vec<f64>, SolveReport) {
-    let a_ref = std::sync::Arc::clone(&a);
-    let mut precond = SandboxedInnerGmres::new(a, cfg, injector, budget);
-    fgmres_solve(a_ref.as_ref(), b, x0, &cfg.outer, &mut precond)
+    let mut inner = InnerGmresPrecond::new(a, cfg, precond, injector);
+    fgmres_solve(a, b, x0, &cfg.outer, &mut inner)
 }
 
 #[cfg(test)]
@@ -590,29 +380,34 @@ mod tests {
 
     #[test]
     fn nan_inner_result_is_rejected_by_reliable_validation() {
+        use crate::precond::PrecondKind;
         let a = gallery::poisson2d(8);
         let b = b_for(&a);
         let cfg = poisson_cfg();
-        // Inject NaN into an orthogonalization coefficient: without a
-        // detector the inner solve returns a NaN-tainted iterate, which
-        // the outer validation must reject.
-        let inj = SingleFaultInjector::new(
-            FaultModel::SetNan,
-            Trigger::once(SitePredicate::mgs_site(1, 2, LoopPosition::First)),
-        );
-        let (x, rep) = ftgmres_solve_instrumented(&a, &b, None, &cfg, &inj);
-        assert!(rep.outcome.is_converged(), "{:?}", rep.outcome);
-        assert!(rep.inner_rejections >= 1, "NaN result must be rejected");
-        check_solution(&a, &b, &x, 1e-7);
+        for kind in [PrecondKind::None, PrecondKind::Jacobi] {
+            let p = kind.build(&a).unwrap();
+            // Inject NaN into an orthogonalization coefficient: without a
+            // detector the inner solve returns a NaN-tainted iterate,
+            // which the outer validation must reject.
+            let inj = SingleFaultInjector::new(
+                FaultModel::SetNan,
+                Trigger::once(SitePredicate::mgs_site(1, 2, LoopPosition::First)),
+            );
+            let (x, rep) = ftgmres_solve_precond(&a, &b, None, &cfg, &p, &inj);
+            assert!(rep.outcome.is_converged(), "{kind}: {:?}", rep.outcome);
+            assert!(rep.inner_rejections >= 1, "{kind}: NaN result must be rejected");
+            check_solution(&a, &b, &x, 1e-7);
+        }
     }
 
     #[test]
     fn panicking_guest_becomes_rejection_not_crash() {
+        use crate::precond::PrecondKind;
         use sdc_faults::Site;
         // An injector that panics at its target site — a hard fault inside
         // the unreliable guest phase. The injector only runs inside inner
         // solves (the reliable outer phase uses NoFaults), so the panic is
-        // guaranteed to strike sandboxed code.
+        // guaranteed to strike guest code.
         struct CrashingInjector;
         impl sdc_faults::FaultInjector for CrashingInjector {
             fn corrupt(&self, site: Site, value: f64) -> f64 {
@@ -629,74 +424,16 @@ mod tests {
             inner_iters: 8,
             ..Default::default()
         };
-        let (x, rep) = ftgmres_solve_instrumented(&a, &b, None, &cfg, &CrashingInjector);
-        // The guest's hard fault was converted into a rejection; the outer
-        // solve proceeded and converged.
-        assert!(rep.inner_rejections >= 1, "crash must be converted to a rejection");
-        assert!(rep.outcome.is_converged(), "{:?}", rep.outcome);
-        assert!(x.iter().all(|v| v.is_finite()));
-        check_solution(&a, &b, &x, 1e-7);
-    }
-
-    #[test]
-    fn sandboxed_solve_matches_in_process_solve() {
-        use std::sync::Arc;
-        let a = Arc::new(gallery::poisson2d(10));
-        let b = b_for(&a);
-        let cfg = poisson_cfg();
-        let (x1, r1) = ftgmres_solve(a.as_ref(), &b, None, &cfg);
-        let (x2, r2) = ftgmres_solve_sandboxed(
-            Arc::clone(&a),
-            &b,
-            None,
-            &cfg,
-            Arc::new(sdc_faults::NoFaults),
-            std::time::Duration::from_secs(60),
-        );
-        assert_eq!(r1.iterations, r2.iterations);
-        for i in 0..x1.len() {
-            assert_eq!(x1[i].to_bits(), x2[i].to_bits(), "x[{i}]");
+        for kind in [PrecondKind::None, PrecondKind::Jacobi] {
+            let p = kind.build(&a).unwrap();
+            let (x, rep) = ftgmres_solve_precond(&a, &b, None, &cfg, &p, &CrashingInjector);
+            // The guest's hard fault was converted into a rejection; the
+            // outer solve proceeded and converged.
+            assert!(rep.inner_rejections >= 1, "{kind}: crash must be converted to a rejection");
+            assert!(rep.outcome.is_converged(), "{kind}: {:?}", rep.outcome);
+            assert!(x.iter().all(|v| v.is_finite()));
+            check_solution(&a, &b, &x, 1e-7);
         }
-        assert!(r2.outcome.is_converged());
-    }
-
-    #[test]
-    fn hung_guest_is_stopped_within_budget() {
-        use std::sync::Arc;
-        // An injector that hangs the guest at a specific site: the host
-        // must regain control within its time budget and continue.
-        struct HangingInjector;
-        impl sdc_faults::FaultInjector for HangingInjector {
-            fn corrupt(&self, site: sdc_faults::Site, value: f64) -> f64 {
-                if site.inner_solve == 2 && site.inner_iteration == 1 && site.loop_index == 1 {
-                    // Sleep far beyond the budget exactly once per process
-                    // (the thread is detached afterwards).
-                    std::thread::sleep(std::time::Duration::from_secs(30));
-                }
-                value
-            }
-        }
-        let a = Arc::new(gallery::poisson2d(8));
-        let b = b_for(&a);
-        let cfg = FtGmresConfig {
-            outer: FgmresConfig { tol: 1e-8, max_outer: 40, ..Default::default() },
-            inner_iters: 6,
-            ..Default::default()
-        };
-        let t0 = std::time::Instant::now();
-        let (x, rep) = ftgmres_solve_sandboxed(
-            Arc::clone(&a),
-            &b,
-            None,
-            &cfg,
-            Arc::new(HangingInjector),
-            std::time::Duration::from_millis(200),
-        );
-        assert!(rep.inner_rejections >= 1, "hung guest must be rejected");
-        assert!(rep.outcome.is_converged(), "{:?}", rep.outcome);
-        check_solution(&a, &b, &x, 1e-7);
-        // The whole solve must not have waited for the 30s sleep.
-        assert!(t0.elapsed() < std::time::Duration::from_secs(15), "host failed to move on");
     }
 
     #[test]

@@ -12,39 +12,6 @@ use crate::precond::Preconditioner;
 use sdc_sparse::ilu::{Ilu0Error, Ilu0Factor};
 use sdc_sparse::CsrMatrix;
 
-/// Error from the ILU(0) factorization.
-#[derive(Clone, Debug, PartialEq)]
-pub enum IluError {
-    /// The matrix is not square.
-    NotSquare,
-    /// A zero (or non-finite) pivot appeared at the given row; the
-    /// factorization cannot proceed on this pattern.
-    BadPivot {
-        /// Row index of the offending pivot.
-        row: usize,
-    },
-}
-
-impl From<Ilu0Error> for IluError {
-    fn from(e: Ilu0Error) -> Self {
-        match e {
-            Ilu0Error::NotSquare => IluError::NotSquare,
-            Ilu0Error::BadPivot { row } => IluError::BadPivot { row },
-        }
-    }
-}
-
-impl std::fmt::Display for IluError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IluError::NotSquare => write!(f, "ILU(0): matrix must be square"),
-            IluError::BadPivot { row } => write!(f, "ILU(0): zero/non-finite pivot in row {row}"),
-        }
-    }
-}
-
-impl std::error::Error for IluError {}
-
 /// The ILU(0) preconditioner: a [`Preconditioner`] wrapper around the
 /// sparse substrate's [`Ilu0Factor`] (the factorization math and the
 /// stored-factor fault surface live in `sdc_sparse::ilu`).
@@ -55,7 +22,7 @@ pub struct Ilu0 {
 
 impl Ilu0 {
     /// Computes ILU(0) of `a`.
-    pub fn factor(a: &CsrMatrix) -> Result<Self, IluError> {
+    pub fn factor(a: &CsrMatrix) -> Result<Self, Ilu0Error> {
         Ok(Self { factor: Ilu0Factor::factor(a)? })
     }
 
@@ -239,7 +206,7 @@ mod tests {
         coo.push(0, 1, 1.0);
         coo.push(1, 0, 1.0);
         let a = coo.to_csr();
-        assert_eq!(Ilu0::factor(&a).unwrap_err(), IluError::BadPivot { row: 0 });
+        assert_eq!(Ilu0::factor(&a).unwrap_err(), Ilu0Error::BadPivot { row: 0 });
     }
 
     #[test]
@@ -248,7 +215,7 @@ mod tests {
         coo.push(0, 0, 1.0);
         coo.push(1, 1, 1.0);
         let a = coo.to_csr();
-        assert_eq!(Ilu0::factor(&a).unwrap_err(), IluError::NotSquare);
+        assert_eq!(Ilu0::factor(&a).unwrap_err(), Ilu0Error::NotSquare);
     }
 
     #[test]

@@ -66,9 +66,7 @@ pub mod prelude {
     pub use crate::cg::{cg_solve, CgConfig};
     pub use crate::detector::{DetectorResponse, SdcDetector, Violation};
     pub use crate::fgmres::{fgmres_solve, FgmresConfig};
-    pub use crate::ftgmres::{
-        ftgmres_solve, ftgmres_solve_precond, FtGmresConfig, InnerValidation,
-    };
+    pub use crate::ftgmres::{ftgmres_solve, ftgmres_solve_precond, FtGmresConfig};
     pub use crate::gmres::{
         gmres_solve, gmres_solve_instrumented, gmres_solve_right_precond, GmresConfig, SiteContext,
     };

@@ -78,7 +78,7 @@ impl std::fmt::Display for SimdMode {
 /// The instruction set the kernels actually run on after dispatch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Isa {
-    /// AVX2 + FMA `f64x4` kernels (FMA used only by the fast-math tier).
+    /// AVX2 `f64x4` kernels (detection also requires FMA; no kernel fuses).
     Avx2,
     /// Portable scalar kernels.
     Scalar,
@@ -108,10 +108,10 @@ impl std::fmt::Display for Isa {
     }
 }
 
-/// The widest ISA this CPU supports. AVX2 kernels additionally require
-/// FMA (the fast-math tier fuses; strict kernels do not, but the two
-/// features ship together on every AVX2-era core, so one gate keeps the
-/// dispatch binary).
+/// The widest ISA this CPU supports. The AVX2 gate also checks FMA:
+/// no kernel fuses (fusing would change the rounding), but the two
+/// features ship together on every AVX2-era core, so the check costs
+/// nothing and keeps the dispatch binary.
 pub fn detected() -> Isa {
     #[cfg(target_arch = "x86_64")]
     {

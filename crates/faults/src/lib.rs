@@ -19,10 +19,6 @@
 //! * [`injector`] — the [`injector::FaultInjector`] trait the solvers
 //!   call at every instrumented operation, with a thread-safe
 //!   single-event implementation that logs exactly what it corrupted.
-//! * [`sandbox`] — the sandbox reliability model of §IV: run untrusted
-//!   ("guest") code so that it returns *something* in *finite time*,
-//!   converting panics (hard faults) into reportable soft errors and
-//!   enforcing a wall-clock budget.
 //! * [`bitflip`] — bit-level anatomy of `f64`, connecting the bit-flip
 //!   fault model of prior work to the paper's generalized numerical-error
 //!   model (§III-A-2).
@@ -36,7 +32,6 @@ pub mod bitflip;
 pub mod campaign;
 pub mod injector;
 pub mod model;
-pub mod sandbox;
 pub mod site;
 pub mod storage;
 pub mod taxonomy;
@@ -45,6 +40,5 @@ pub mod trigger;
 pub use campaign::{FaultClass, FaultTarget, MgsPosition};
 pub use injector::{FaultInjector, InjectionRecord, NoFaults, SingleFaultInjector};
 pub use model::FaultModel;
-pub use sandbox::{run_sandboxed, SandboxConfig, SandboxError};
 pub use site::{Kernel, Site};
 pub use trigger::{FireMode, SitePredicate, Trigger};

@@ -834,25 +834,16 @@ fn execute_solve(
     key: &str,
     req: &SolveRequest,
 ) -> Result<(Json, SolveSummary), String> {
-    let op = problem.operator_tiered(req.format, req.kernel_tier);
-    let op = &op;
+    let op = problem.operator(req.format);
     let b: &[f64] = req.b.as_deref().unwrap_or(&problem.b);
     // Built once per (matrix, kind) and cached on the registered
     // problem; an unfactorable matrix surfaces as a structured error.
     let precond = problem.precond(req.precond)?;
     // The Frobenius bound is an O(nnz) scan; build it only for the
     // solvers that wire a detector in (validate() rejects detector +
-    // fgmres, which has no hook). A preconditioned iteration projects
-    // `A·M⁻¹`, so its bound carries the `‖M⁻¹‖₂` estimate.
-    let detector = || {
-        req.detector.response().map(|resp| {
-            if precond.is_none() {
-                SdcDetector::with_frobenius_bound(&problem.a, resp)
-            } else {
-                SdcDetector::with_preconditioned_bound(&problem.a, precond, resp)
-            }
-        })
-    };
+    // fgmres, which has no hook).
+    let detector =
+        || req.detector.response().map(|resp| SdcDetector::for_precond(&problem.a, precond, resp));
 
     let (x, rep) = match req.solver {
         SolverKind::Gmres => {
@@ -873,13 +864,8 @@ fn execute_solve(
                 lsq_policy: req.lsq.policy(),
                 ..Default::default()
             };
-            if precond.is_none() {
-                let mut pm = sdc_gmres::fgmres::FixedPrecond(IdentityPrecond);
-                sdc_gmres::fgmres::fgmres_solve(op, b, None, &cfg, &mut pm)
-            } else {
-                let mut pm = sdc_gmres::fgmres::FixedPrecond(precond);
-                sdc_gmres::fgmres::fgmres_solve(op, b, None, &cfg, &mut pm)
-            }
+            let mut pm = sdc_gmres::fgmres::FixedPrecond(precond);
+            sdc_gmres::fgmres::fgmres_solve(op, b, None, &cfg, &mut pm)
         }
         SolverKind::FtGmres => {
             let cfg = FtGmresConfig {
@@ -887,7 +873,6 @@ fn execute_solve(
                 inner_iters: req.inner_iters,
                 inner_lsq_policy: req.lsq.policy(),
                 inner_detector: detector(),
-                ..Default::default()
             };
             match &req.fault {
                 None => {
@@ -929,14 +914,9 @@ fn execute_solve(
         ("solver", Json::str(req.solver.as_str())),
         ("resolved_format", Json::str(problem.resolved_format(req.format).as_str())),
         ("seed", Json::u64(req.seed)),
+        ("summary", sdc_campaigns::summary_json(&summary)),
+        ("true_rel_residual", Json::Num(true_rel)),
     ];
-    // Like the request side, the tier appears in the result only when
-    // non-default, keeping legacy response bytes unchanged.
-    if req.kernel_tier != sdc_sparse::KernelTier::Strict {
-        fields.push(("kernel_tier", Json::str(req.kernel_tier.as_str())));
-    }
-    fields.push(("summary", sdc_campaigns::summary_json(&summary)));
-    fields.push(("true_rel_residual", Json::Num(true_rel)));
     if req.return_x {
         fields.push(("x", Json::Arr(x.iter().map(|&v| Json::Num(v)).collect())));
     }
@@ -1020,44 +1000,6 @@ mod tests {
         let list = r.field("result").unwrap().field("matrices").unwrap();
         assert_eq!(list.as_arr().unwrap().len(), 1);
         assert_eq!(list.as_arr().unwrap()[0].field("key").unwrap().as_str().unwrap(), key);
-        e.drain();
-    }
-
-    #[test]
-    fn fastmath_solves_are_deterministic_and_isa_invariant() {
-        use sdc_sparse::simd::{set_mode, test_mode_guard, SimdMode};
-        let e = engine();
-        drive(
-            &e,
-            "{\"cmd\":\"load_matrix\",\"name\":\"p\",\"problem\":{\"kind\":\"poisson\",\"m\":10}}",
-        );
-        let solve = "{\"cmd\":\"solve\",\"matrix\":\"p\",\"solver\":\"ftgmres\",\"tol\":1e-8,\
-             \"maxit\":200,\"inner_iters\":10,\"format\":\"csr\",\"kernel_tier\":\"fast_math\",\
-             \"return_x\":true}";
-        let _guard = test_mode_guard();
-        set_mode(SimdMode::Scalar).unwrap();
-        let (_, r1) = drive(&e, solve);
-        assert!(r1.field("ok").unwrap().as_bool().unwrap(), "{}", r1.to_line());
-        let result = r1.field("result").unwrap();
-        // The tier is part of the result (elided only when strict).
-        assert_eq!(result.field("kernel_tier").unwrap().as_str().unwrap(), "fast_math");
-        assert!(result.field("summary").unwrap().field("converged").unwrap().as_bool().unwrap());
-        // Deterministic run-to-run: the whole canonical frame repeats.
-        let (_, r2) = drive(&e, solve);
-        assert_eq!(r1.to_line(), r2.to_line());
-        // Both fused bodies (scalar mul_add, AVX2 vfmadd) are correctly
-        // rounded, so the response bytes are host/ISA-independent.
-        if set_mode(SimdMode::Avx2).is_ok() {
-            let (_, r3) = drive(&e, solve);
-            assert_eq!(r1.to_line(), r3.to_line());
-        }
-        // Strict solves elide the tier field.
-        let (_, rs) = drive(
-            &e,
-            "{\"cmd\":\"solve\",\"matrix\":\"p\",\"solver\":\"ftgmres\",\"tol\":1e-8,\
-             \"maxit\":200,\"inner_iters\":10}",
-        );
-        assert!(rs.field("result").unwrap().get("kernel_tier").is_none());
         e.drain();
     }
 

@@ -245,13 +245,6 @@ pub struct SolveRequest {
     pub inner_iters: usize,
     /// Sparse storage engine (bitwise-invisible to results).
     pub format: SparseFormat,
-    /// SpMV arithmetic contract (`strict` or `fast_math`). Unlike
-    /// `format`, `fast_math` *does* change the solve's bytes (within a
-    /// forward-error bound, deterministically), so it is part of the
-    /// request, not a server-level knob. Elided from the wire when it is
-    /// the default `strict`. The tier is CSR-only: `fast_math` implies
-    /// the CSR engine.
-    pub kernel_tier: sdc_sparse::KernelTier,
     /// Right preconditioner (`none`, `jacobi`, `ilu0`, `chebyshev`).
     /// Applied as right preconditioning in `gmres`, flexibly in
     /// `fgmres`, and inside the sandboxed inner solves in `ftgmres`.
@@ -297,7 +290,6 @@ impl Default for SolveRequest {
             restart: None,
             inner_iters: 25,
             format: SparseFormat::Auto,
-            kernel_tier: sdc_sparse::KernelTier::Strict,
             precond: PrecondKind::None,
             detector: DetectorPolicy::Off,
             lsq: LsqSpec::Standard,
@@ -408,9 +400,6 @@ impl Request {
                 fields.push(("inner_iters", Json::Num(r.inner_iters as f64)));
                 if r.format != SparseFormat::Auto {
                     fields.push(("format", Json::str(r.format.as_str())));
-                }
-                if r.kernel_tier != sdc_sparse::KernelTier::Strict {
-                    fields.push(("kernel_tier", Json::str(r.kernel_tier.as_str())));
                 }
                 if r.precond != PrecondKind::None {
                     fields.push(("precond", Json::str(r.precond.as_str())));
@@ -536,7 +525,6 @@ impl Request {
                         "restart",
                         "inner_iters",
                         "format",
-                        "kernel_tier",
                         "precond",
                         "detector",
                         "lsq",
@@ -584,11 +572,6 @@ impl Request {
                         Some(f) => SparseFormat::parse(f.as_str()?)
                             .map_err(|msg| JsonError { offset: 0, msg })?,
                         None => d.format,
-                    },
-                    kernel_tier: match v.get("kernel_tier") {
-                        Some(t) => sdc_sparse::KernelTier::parse(t.as_str()?)
-                            .map_err(|msg| JsonError { offset: 0, msg })?,
-                        None => d.kernel_tier,
                     },
                     precond: match v.get("precond") {
                         Some(p) => PrecondKind::parse(p.as_str()?)
@@ -690,14 +673,6 @@ impl SolveRequest {
                      (precond=jacobi, ilu0 or chebyshev)"
                     .into());
             }
-        }
-        // The fast-math tier is CSR-only; with an explicit SELL engine it
-        // would be silently ignored, which the protocol forbids. (`auto`
-        // stays legal: it resolves per matrix and applies when it picks
-        // CSR.)
-        if self.kernel_tier == sdc_sparse::KernelTier::FastMath && self.format == SparseFormat::Sell
-        {
-            return Err("kernel_tier=fast_math is CSR-only; use format=csr or format=auto".into());
         }
         if self.detector != DetectorPolicy::Off && self.solver == SolverKind::Fgmres {
             return Err("fgmres has no detector hook (its outer loop is the reliable layer); \
@@ -816,7 +791,6 @@ mod tests {
         assert_eq!(Request::from_json(&Json::parse(&line).unwrap()).unwrap(), req);
         // Defaults are elided from the wire form.
         assert!(!line.contains("format"), "{line}");
-        assert!(!line.contains("kernel_tier"), "{line}");
         assert!(!line.contains("precond"), "{line}");
         assert!(!line.contains("detector"), "{line}");
         assert!(!line.contains("return_x"), "{line}");
@@ -932,7 +906,6 @@ mod tests {
             restart: None,
             inner_iters: 25,
             format: SparseFormat::Csr,
-            kernel_tier: sdc_sparse::KernelTier::FastMath,
             precond: PrecondKind::Chebyshev,
             detector: DetectorPolicy::RestartInner,
             lsq: LsqSpec::RankRevealing { tol: 1e-12 },
@@ -1039,11 +1012,12 @@ mod tests {
 
     #[test]
     fn unknown_fields_are_rejected_and_threads_gets_a_pointed_message() {
-        let e = Request::from_json(
-            &Json::parse("{\"cmd\":\"solve\",\"matrix\":\"p\",\"bogus\":1}").unwrap(),
-        )
-        .unwrap_err();
-        assert!(e.msg.contains("unknown field 'bogus'"), "{e}");
+        // A typo, and the retired kernel-tier field.
+        for (key, value) in [("bogus", "1"), ("kernel_tier", "\"strict\"")] {
+            let line = format!("{{\"cmd\":\"solve\",\"matrix\":\"p\",\"{key}\":{value}}}");
+            let e = Request::from_json(&Json::parse(&line).unwrap()).unwrap_err();
+            assert!(e.msg.contains(&format!("unknown field '{key}'")), "{e}");
+        }
 
         let e = Request::from_json(
             &Json::parse("{\"cmd\":\"solve\",\"matrix\":\"p\",\"threads\":8}").unwrap(),
@@ -1099,14 +1073,6 @@ mod tests {
         })
         .is_ok());
         assert!(ok(&|r| r.b = Some(vec![1.0, f64::NAN])).is_err());
-        // fast_math is CSR-only; an explicit SELL engine would silently
-        // ignore the tier.
-        assert!(ok(&|r| {
-            r.kernel_tier = sdc_sparse::KernelTier::FastMath;
-            r.format = SparseFormat::Sell;
-        })
-        .is_err());
-        assert!(ok(&|r| r.kernel_tier = sdc_sparse::KernelTier::FastMath).is_ok());
         assert!(ok(&|r| r.restart = Some(10)).is_err(), "restart needs solver=gmres");
         assert!(ok(&|r| {
             r.solver = SolverKind::Gmres;

@@ -58,10 +58,6 @@ fn format_strategy() -> impl Strategy<Value = SparseFormat> {
     prop_oneof![Just(SparseFormat::Auto), Just(SparseFormat::Csr), Just(SparseFormat::Sell)]
 }
 
-fn tier_strategy() -> impl Strategy<Value = sdc_sparse::KernelTier> {
-    prop_oneof![Just(sdc_sparse::KernelTier::Strict), Just(sdc_sparse::KernelTier::FastMath)]
-}
-
 fn precond_strategy() -> impl Strategy<Value = PrecondKind> {
     prop_oneof![
         Just(PrecondKind::None),
@@ -107,7 +103,7 @@ fn solve_strategy() -> impl Strategy<Value = SolveRequest> {
         ),
         (
             1usize..40,
-            (format_strategy(), precond_strategy(), tier_strategy()),
+            (format_strategy(), precond_strategy()),
             detector_strategy(),
             lsq_strategy(),
             opt(fault_strategy()),
@@ -125,7 +121,7 @@ fn solve_strategy() -> impl Strategy<Value = SolveRequest> {
                 (matrix, solver, b, tol, maxit, restart),
                 (
                     inner_iters,
-                    (format, precond, tier),
+                    (format, precond),
                     detector,
                     lsq,
                     fault,
@@ -149,13 +145,6 @@ fn solve_strategy() -> impl Strategy<Value = SolveRequest> {
                     restart: if solver == SolverKind::Gmres { restart } else { None },
                     inner_iters,
                     format,
-                    // fast_math is CSR-only; validate() rejects it with
-                    // an explicit SELL engine.
-                    kernel_tier: if format == SparseFormat::Sell {
-                        sdc_sparse::KernelTier::Strict
-                    } else {
-                        tier
-                    },
                     precond,
                     // fgmres has no detector hook; validate() rejects it.
                     detector: if solver == SolverKind::Fgmres {

@@ -154,35 +154,6 @@ impl CsrMatrix {
         acc
     }
 
-    /// Fast-math serial SpMV: the opt-in [`crate::KernelTier::FastMath`]
-    /// kernel — intra-row vectorization with four strided fused
-    /// accumulators. Not bitwise-equal to [`CsrMatrix::spmv`] (different,
-    /// tighter-error rounding), but deterministic and identical across
-    /// scalar and AVX2 hosts, so fast-math artifacts still pin to goldens.
-    pub fn spmv_fastmath(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "spmv_fastmath: x length");
-        assert_eq!(y.len(), self.nrows, "spmv_fastmath: y length");
-        for r in 0..self.nrows {
-            let (cols, vals) = self.row(r);
-            y[r] = crate::simd::row_dot_fast(cols, vals, x);
-        }
-    }
-
-    /// Parallel fast-math SpMV, bitwise identical to
-    /// [`CsrMatrix::spmv_fastmath`] at any thread count (rows are
-    /// disjoint, like the strict kernel).
-    pub fn par_spmv_fastmath(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "par_spmv_fastmath: x length");
-        assert_eq!(y.len(), self.nrows, "par_spmv_fastmath: y length");
-        if self.nnz() < crate::PAR_SPMV_MIN_NNZ {
-            return self.spmv_fastmath(x, y);
-        }
-        y.par_iter_mut().enumerate().for_each(|(r, yr)| {
-            let (cols, vals) = self.row(r);
-            *yr = crate::simd::row_dot_fast(cols, vals, x);
-        });
-    }
-
     /// Transposed SpMV: `y = Aᵀ x` (serial; scatter-based).
     pub fn spmv_transpose(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.nrows, "spmv_transpose: x length");

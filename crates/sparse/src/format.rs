@@ -10,32 +10,24 @@
 
 use crate::csr::CsrMatrix;
 use crate::sell::{self, SellMatrix};
-use crate::simd::KernelTier;
 
 /// Kernel/engine selection for one matrix. Deterministic channel: the
-/// choice is a pure function of the matrix, the requested format and
-/// the kernel tier — never of the host ISA (`auto` resolution feeds the
+/// choice is a pure function of the matrix and the requested format —
+/// never of the host ISA (`auto` resolution feeds the
 /// lane width in, but the det-traced campaigns all sit below
 /// [`AUTO_MIN_NNZ`] or far from the fill boundary, and the golden-gated
 /// CI legs pin that the emitted bytes agree across `SDC_SIMD` modes).
 static EV_FORMAT: sdc_obs::Callsite =
     sdc_obs::Callsite { name: "spmv.format", channel: sdc_obs::Channel::Det };
 
-/// Emits the deterministic `spmv.format` selection event. Public so
-/// tier-aware callers that commit storage themselves can report through
-/// the same callsite as [`FormatMatrix`].
-pub fn trace_selection(
-    requested: SparseFormat,
-    chosen: SparseFormat,
-    tier: KernelTier,
-    nrows: usize,
-    nnz: usize,
-) {
+/// Emits the deterministic `spmv.format` selection event. Its `tier`
+/// field is always `strict`, kept so the event's bytes stay stable.
+fn trace_selection(requested: SparseFormat, chosen: SparseFormat, nrows: usize, nnz: usize) {
     if sdc_obs::enabled() {
         sdc_obs::Event::new(&EV_FORMAT)
             .str("requested", requested.as_str())
             .str("chosen", chosen.as_str())
-            .str("tier", tier.as_str())
+            .str("tier", "strict")
             .u64("rows", nrows as u64)
             .u64("nnz", nnz as u64)
             .emit();
@@ -153,7 +145,7 @@ impl FormatMatrix {
     /// Commits `a` to `format` (resolving `Auto`), consuming the CSR.
     pub fn from_csr(a: CsrMatrix, format: SparseFormat) -> Self {
         let chosen = format.resolve(&a);
-        trace_selection(format, chosen, KernelTier::Strict, a.nrows(), a.nnz());
+        trace_selection(format, chosen, a.nrows(), a.nnz());
         match chosen {
             SparseFormat::Sell => FormatMatrix::Sell(SellMatrix::from_csr(&a)),
             _ => FormatMatrix::Csr(a),
@@ -164,7 +156,7 @@ impl FormatMatrix {
     /// when the choice is CSR).
     pub fn convert(a: &CsrMatrix, format: SparseFormat) -> Self {
         let chosen = format.resolve(a);
-        trace_selection(format, chosen, KernelTier::Strict, a.nrows(), a.nnz());
+        trace_selection(format, chosen, a.nrows(), a.nnz());
         match chosen {
             SparseFormat::Sell => FormatMatrix::Sell(SellMatrix::from_csr(a)),
             _ => FormatMatrix::Csr(a.clone()),

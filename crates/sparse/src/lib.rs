@@ -56,7 +56,7 @@ pub use csr::CsrMatrix;
 pub use format::{auto_format, FormatMatrix, SparseFormat};
 pub use ilu::{Ilu0Error, Ilu0Factor};
 pub use sell::SellMatrix;
-pub use simd::{KernelTier, SimdMode};
+pub use simd::SimdMode;
 
 /// Below this many nonzeros the parallel kernels (`par_spmv` in either
 /// format, `kron` assembly) stay serial: piece handoff on the pool would

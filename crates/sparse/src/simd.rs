@@ -1,112 +1,22 @@
-//! SIMD SpMV kernels and the versioned kernel-tier axis.
+//! SIMD SpMV kernels.
 //!
 //! Mode selection (`SDC_SIMD`, `--simd`) lives in [`sdc_dense::simd`]
 //! and is re-exported here so sparse callers see one dispatch point;
-//! this module adds the two sparse kernel bodies:
-//!
-//! * **Strict SELL chunk kernel** (`avx2::sell_chunk8`): the SELL-C-σ
-//!   slab stores `C = 8` rows lane-interleaved, so the kernel runs the
-//!   eight independent row accumulations in two `f64x4` register
-//!   groups. Each lane performs exactly its row's scalar op sequence —
-//!   `acc += a_ij · x_j` in ascending-column order, separate multiply
-//!   and add (no FMA: fusing would change the rounding) — and row
-//!   raggedness is handled by *blending the accumulator*, never by
-//!   adding a masked-to-zero product (`acc + 0.0` would flush `-0.0`
-//!   to `+0.0` and canonicalize NaN payloads of finished lanes). A
-//!   masked gather keeps padding slots unread, preserving the
-//!   architectural-masking contract the fault campaigns rely on. The
-//!   result is bitwise identical to the scalar kernel — and therefore
-//!   to CSR — so `SDC_SIMD` never perturbs an artifact byte.
-//! * **Fast-math CSR row kernel** (`row_dot_fast`): the explicitly
-//!   versioned [`KernelTier::FastMath`] trades the strict contract for
-//!   intra-row vectorization — four strided sub-accumulators folded
-//!   with fused multiply-adds. It is *not* bitwise-equal to strict
-//!   (hence the opt-in tier field and separate goldens), but it is
-//!   deterministic and host-independent: the scalar fallback uses
-//!   `f64::mul_add` (IEEE correctly-rounded fusion, like the FMA
-//!   instruction) over the identical accumulator shape and the same
-//!   final `(a0+a1)+(a2+a3)` combine, so scalar and AVX2 hosts produce
-//!   the same bytes and fast-math goldens pin on any machine.
+//! this module adds the SELL chunk kernel (`avx2::sell_chunk8`). The
+//! SELL-C-σ slab stores `C = 8` rows lane-interleaved, so the kernel
+//! runs the eight independent row accumulations in two `f64x4` register
+//! groups. Each lane performs exactly its row's scalar op sequence —
+//! `acc += a_ij · x_j` in ascending-column order, separate multiply and
+//! add (no FMA: fusing would change the rounding) — and row raggedness
+//! is handled by *blending the accumulator*, never by adding a
+//! masked-to-zero product (`acc + 0.0` would flush `-0.0` to `+0.0` and
+//! canonicalize NaN payloads of finished lanes). A masked gather keeps
+//! padding slots unread, preserving the architectural-masking contract
+//! the fault campaigns rely on. The result is bitwise identical to the
+//! scalar kernel — and therefore to CSR — so `SDC_SIMD` never perturbs
+//! an artifact byte.
 
 pub use sdc_dense::simd::{active, detected, set_mode, test_mode_guard, Isa, ModeGuard, SimdMode};
-
-/// The kernel-tier axis: which arithmetic contract SpMV honours.
-/// `strict` is the workspace default and is elided from specs,
-/// artifacts and requests, so legacy bytes are unchanged.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum KernelTier {
-    /// Bitwise-reproducible kernels: format-, thread- and ISA-invariant.
-    #[default]
-    Strict,
-    /// Intra-row vectorized CSR with FMA: deterministic and
-    /// host-independent, but a different (tighter-error) rounding than
-    /// strict — opt-in, with its own goldens.
-    FastMath,
-}
-
-impl KernelTier {
-    /// The spec/CLI/protocol string for this tier.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            KernelTier::Strict => "strict",
-            KernelTier::FastMath => "fast_math",
-        }
-    }
-
-    /// Parses a spec/CLI/protocol string (`strict` or `fast_math`).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "strict" => Ok(KernelTier::Strict),
-            "fast_math" => Ok(KernelTier::FastMath),
-            other => Err(format!("unknown kernel tier '{other}' (expected strict|fast_math)")),
-        }
-    }
-}
-
-impl std::fmt::Display for KernelTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Fast-math dot of one CSR row against `x`: four strided
-/// sub-accumulators, each folded with correctly-rounded fused
-/// multiply-adds, combined as `(a0+a1)+(a2+a3)`. The AVX2 body computes
-/// the identical shape with `vfmadd` (also correctly rounded), so the
-/// result does not depend on the dispatched ISA.
-///
-/// Callers must guarantee `cols[i] < x.len()` for all `i` (CSR
-/// construction validates indices against `ncols`, and the SpMV entry
-/// points assert `x.len() == ncols`).
-#[inline]
-pub(crate) fn row_dot_fast(cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if active() == Isa::Avx2 {
-            // SAFETY: AVX2+FMA verified by `active()`; index bound is the
-            // caller contract above.
-            return unsafe { avx2::row_dot_fast(cols, vals, x) };
-        }
-    }
-    row_dot_fast_scalar(cols, vals, x)
-}
-
-pub(crate) fn row_dot_fast_scalar(cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
-    let n = vals.len();
-    let quads = n - n % 4;
-    let mut acc = [0.0f64; 4];
-    let mut i = 0;
-    while i < quads {
-        for (l, a) in acc.iter_mut().enumerate() {
-            *a = vals[i + l].mul_add(x[cols[i + l]], *a);
-        }
-        i += 4;
-    }
-    for l in 0..(n - quads) {
-        acc[l] = vals[i + l].mul_add(x[cols[i + l]], acc[l]);
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2 {
@@ -195,64 +105,5 @@ pub(crate) mod avx2 {
         // lanes keep their bits untouched.
         let sum = _mm256_add_pd(acc, _mm256_mul_pd(v, gx));
         _mm256_blendv_pd(acc, sum, _mm256_castsi256_pd(live))
-    }
-
-    /// Fast-math CSR row dot: the vector body of
-    /// [`super::row_dot_fast`]. `vfmadd` and `f64::mul_add` are both
-    /// correctly-rounded fused operations, so this is bitwise equal to
-    /// the scalar fallback.
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA; every `cols[i] < x.len()`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn row_dot_fast(cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
-        let n = vals.len();
-        let quads = n - n % 4;
-        let mut acc = _mm256_setzero_pd();
-        let mut i = 0;
-        while i < quads {
-            let idx = _mm256_loadu_si256(cols.as_ptr().add(i) as *const __m256i);
-            let gx = _mm256_i64gather_pd::<8>(x.as_ptr(), idx);
-            let v = _mm256_loadu_pd(vals.as_ptr().add(i));
-            acc = _mm256_fmadd_pd(v, gx, acc);
-            i += 4;
-        }
-        let mut lanes: [f64; 4] = std::mem::transmute(acc);
-        for l in 0..(n - quads) {
-            lanes[l] = vals[i + l].mul_add(x[cols[i + l]], lanes[l]);
-        }
-        (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tier_strings_round_trip() {
-        for t in [KernelTier::Strict, KernelTier::FastMath] {
-            assert_eq!(KernelTier::parse(t.as_str()).unwrap(), t);
-            assert_eq!(format!("{t}"), t.as_str());
-        }
-        assert!(KernelTier::parse("sloppy").is_err());
-        assert_eq!(KernelTier::default(), KernelTier::Strict);
-    }
-
-    #[test]
-    fn fastmath_row_dot_isa_invariant_and_close_to_strict() {
-        let _guard = test_mode_guard();
-        let n = 77;
-        let cols: Vec<usize> = (0..n).map(|i| i * 3 % 200).collect();
-        let vals: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() * 3.0).collect();
-        let x: Vec<f64> = (0..200).map(|i| (i as f64 * 0.31).cos() + 0.2).collect();
-        set_mode(SimdMode::Scalar).unwrap();
-        let scalar = row_dot_fast(&cols, &vals, &x);
-        let strict: f64 = cols.iter().zip(vals.iter()).map(|(&c, &v)| v * x[c]).sum();
-        assert!((scalar - strict).abs() <= 1e-12 * strict.abs().max(1.0));
-        if set_mode(SimdMode::Avx2).is_ok() {
-            let simd = row_dot_fast(&cols, &vals, &x);
-            assert_eq!(scalar.to_bits(), simd.to_bits());
-        }
     }
 }

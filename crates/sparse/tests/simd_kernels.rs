@@ -1,11 +1,9 @@
 //! SIMD kernel contracts, property-tested.
 //!
-//! Strict tier: the AVX2 SELL kernel must be *bitwise* equal to the
-//! scalar kernel over random matrices, chunk heights and σ windows —
-//! including NaN-corrupted padding slots (which the masked gather must
-//! never read) and zero-width chunks. Fast-math tier: not bitwise vs
-//! strict, but within a forward-error bound, deterministic run-to-run,
-//! and bitwise-identical across scalar and AVX2 hosts.
+//! The AVX2 SELL kernel must be *bitwise* equal to the scalar kernel
+//! over random matrices, chunk heights and σ windows — including
+//! NaN-corrupted padding slots (which the masked gather must never read)
+//! and zero-width chunks.
 //!
 //! Every test that pins a SIMD mode holds `test_mode_guard`, which
 //! serializes the global-mode flips and restores `auto` on drop.
@@ -87,45 +85,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn fastmath_bounded_deterministic_and_isa_invariant(
-        n in 1usize..30,
-        entries in proptest::collection::vec(
-            (0usize..30, 0usize..30, -50.0f64..50.0), 0..200),
-    ) {
-        let a = csr_from(&entries, n, n);
-        let x = probe(n);
-        let mut y_strict = vec![0.0; n];
-        a.spmv(&x, &mut y_strict);
-        let _guard = test_mode_guard();
-        set_mode(SimdMode::Scalar).unwrap();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        a.spmv_fastmath(&x, &mut y1);
-        a.spmv_fastmath(&x, &mut y2);
-        for i in 0..n {
-            // Run-to-run determinism is exact.
-            prop_assert_eq!(y1[i].to_bits(), y2[i].to_bits(), "rerun row {}", i);
-            // Reordered/fused summation stays within a forward-error
-            // bound of the strict kernel: ~n_row·eps·Σ|a_ij x_j|.
-            let (cols, vals) = a.row(i);
-            let abs_sum: f64 = cols.iter().zip(vals).map(|(&j, &v)| (v * x[j]).abs()).sum();
-            let tol = 1e-13 * (1.0 + abs_sum);
-            prop_assert!((y1[i] - y_strict[i]).abs() <= tol,
-                "row {}: fast {} vs strict {} (tol {})", i, y1[i], y_strict[i], tol);
-        }
-        if set_mode(SimdMode::Avx2).is_ok() {
-            // The AVX2 body fuses with vfmadd, the scalar body with
-            // f64::mul_add — both correctly rounded, so the tier's bytes
-            // are host-independent.
-            let mut y3 = vec![0.0; n];
-            a.spmv_fastmath(&x, &mut y3);
-            for i in 0..n {
-                prop_assert_eq!(y1[i].to_bits(), y3[i].to_bits(), "isa row {}", i);
-            }
-        }
-    }
 }
 
 /// Zero-width (empty) chunks: eight consecutive empty stored rows give a
@@ -151,27 +110,4 @@ fn sell_simd_handles_empty_chunks() {
             assert_eq!(y_scalar[i].to_bits(), y_simd[i].to_bits(), "row {i}");
         }
     }
-}
-
-/// The parallel fast-math path (row-parallel over the pool) is bitwise
-/// identical to the serial fast-math kernel on a matrix large enough to
-/// take the parallel branch, at pinned thread counts.
-#[test]
-fn par_fastmath_matches_serial_fastmath() {
-    let a = sdc_sparse::gallery::poisson2d(150);
-    assert!(a.nnz() >= sdc_sparse::PAR_SPMV_MIN_NNZ);
-    let x = probe(a.ncols());
-    let _guard = test_mode_guard();
-    let _pool = sdc_parallel::test_serial_guard();
-    let mut y_serial = vec![0.0; a.nrows()];
-    a.spmv_fastmath(&x, &mut y_serial);
-    for threads in [1usize, 4] {
-        sdc_parallel::set_threads(threads);
-        let mut y_par = vec![0.0; a.nrows()];
-        a.par_spmv_fastmath(&x, &mut y_par);
-        for i in 0..a.nrows() {
-            assert_eq!(y_serial[i].to_bits(), y_par[i].to_bits(), "{threads} threads, row {i}");
-        }
-    }
-    sdc_parallel::set_threads(0);
 }

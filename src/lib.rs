@@ -16,8 +16,8 @@
 //! * [`sparse`] — sparse matrices, kernels, Matrix Market I/O, the
 //!   matrix gallery (including the paper's exact Poisson operator and
 //!   the synthetic `mult_dcop_03` stand-in).
-//! * [`faults`] — SDC fault models, injection sites/triggers, the
-//!   sandbox executor and bit-flip anatomy.
+//! * [`faults`] — SDC fault models, injection sites/triggers and
+//!   bit-flip anatomy.
 //! * [`solvers`] — GMRES / Flexible GMRES / FT-GMRES with the
 //!   invariant-based SDC detector, plus the CG baseline.
 //! * [`campaigns`] — the declarative, resumable, artifact-first
