@@ -22,53 +22,46 @@
 //! The price, relative to the paper's detector: `O(j)` extra dots per
 //! check instead of one comparison, plus checkpoint/rollback machinery —
 //! exactly the cost the paper's communication-free bound avoids.
+//!
+//! The Arnoldi steps and the least-squares update are the shared
+//! `Arnoldi` core's; the audit and the rollback are this module's.
 
+use crate::arnoldi::Arnoldi;
 use crate::gmres::SiteContext;
 use crate::operator::{residual, LinearOperator};
-use crate::ortho::{orthogonalize, OrthoSiteCtx, OrthoStrategy};
+use crate::ortho::{OrthoSiteCtx, OrthoStrategy};
 use crate::telemetry::{SolveOutcome, SolveReport};
-use sdc_dense::hessenberg_qr::HessenbergQr;
-use sdc_dense::lstsq::{solve_projected, LstsqPolicy};
+use sdc_dense::lstsq::LstsqPolicy;
 use sdc_dense::vector;
-use sdc_faults::{FaultInjector, NoFaults};
+use sdc_faults::FaultInjector;
 
-/// Configuration for the ABFT-checked GMRES.
+/// Orthogonality violation threshold for `|q_new · q_i|`.
+const ORTHO_TOL: f64 = 1e-4;
+/// Unit-norm violation threshold for `|‖q_new‖ − 1|`.
+const NORM_TOL: f64 = 1e-8;
+/// Noise floor: skip checks once `h_{j+1,j} < CHECK_FLOOR_REL · β`.
+/// Near an invariant subspace the normalized basis vector is rounding
+/// noise and *legitimately* non-orthogonal; checking there would produce
+/// false positives (a practical caveat of orthogonality-based ABFT the
+/// bound-based detector does not have).
+const CHECK_FLOOR_REL: f64 = 1e-8;
+
+/// Configuration for the ABFT-checked GMRES (unrestarted, MGS).
 #[derive(Clone, Copy, Debug)]
 pub struct AbftGmresConfig {
     /// Relative residual target (`0.0` = fixed-iteration mode).
     pub tol: f64,
     /// Total iteration budget.
     pub max_iters: usize,
-    /// Orthogonalization variant.
-    pub ortho: OrthoStrategy,
     /// Check period `d`: verify invariants every `d` iterations.
     pub check_every: usize,
-    /// Orthogonality violation threshold for `|q_new · q_i|`.
-    pub ortho_tol: f64,
-    /// Unit-norm violation threshold for `|‖q_new‖ − 1|`.
-    pub norm_tol: f64,
     /// Rollbacks allowed before giving up loudly.
     pub max_rollbacks: usize,
-    /// Noise floor: skip checks once `h_{j+1,j} < check_floor_rel · β`.
-    /// Near an invariant subspace the normalized basis vector is
-    /// rounding noise and *legitimately* non-orthogonal; checking there
-    /// would produce false positives (a practical caveat of
-    /// orthogonality-based ABFT the bound-based detector does not have).
-    pub check_floor_rel: f64,
 }
 
 impl Default for AbftGmresConfig {
     fn default() -> Self {
-        Self {
-            tol: 1e-8,
-            max_iters: 200,
-            ortho: OrthoStrategy::Mgs,
-            check_every: 5,
-            ortho_tol: 1e-4,
-            norm_tol: 1e-8,
-            max_rollbacks: 4,
-            check_floor_rel: 1e-8,
-        }
+        Self { tol: 1e-8, max_iters: 200, check_every: 5, max_rollbacks: 4 }
     }
 }
 
@@ -114,6 +107,7 @@ pub fn abft_gmres_solve<A: LinearOperator + ?Sized>(
     let mut iterations_done = 0usize;
     let mut r = vec![0.0; n];
     let mut finished: Option<SolveOutcome> = None;
+    let mut arnoldi = Arnoldi::new(n);
 
     'cycles: while finished.is_none() {
         // The checkpoint is the iterate at cycle start: "the last known
@@ -131,106 +125,80 @@ pub fn abft_gmres_solve<A: LinearOperator + ?Sized>(
             finished = Some(SolveOutcome::Converged);
             break;
         }
-        let mut basis: Vec<Vec<f64>> = Vec::new();
-        let mut q1 = r.clone();
-        vector::scal(1.0 / beta, &mut q1);
-        basis.push(q1);
-        let mut hqr = HessenbergQr::new(beta);
-        let mut w = vec![0.0; n];
-        let breakdown_tol = 1e-13 * beta;
+        arnoldi.start(&r, beta);
 
-        let mut j = 0usize;
         // Audit state per basis vector: q₁ is exact by construction;
         // vectors normalized in the noise regime are exempt (their
         // non-orthogonality is legitimate).
         let mut audited: Vec<bool> = vec![true];
-        while j < cfg.max_iters && iterations_done < cfg.max_iters {
-            j += 1;
+        while arnoldi.steps() < cfg.max_iters && iterations_done < cfg.max_iters {
+            let j = arnoldi.steps() + 1;
             iterations_done += 1;
-            a.apply(&basis[j - 1], &mut w);
-            let ores = orthogonalize(
-                cfg.ortho,
-                &basis,
-                &mut w,
-                OrthoSiteCtx {
-                    outer_iteration: ctx.outer_iteration,
-                    inner_solve: ctx.inner_solve,
-                    column: j,
-                },
-                injector,
-                None,
-            );
-            let mut hcol = ores.h;
-            hcol.push(ores.vnorm);
-            let hnorm = vector::nrm2(&hcol);
-            let res_est = hqr.push_column(&hcol);
+            let site = OrthoSiteCtx {
+                outer_iteration: ctx.outer_iteration,
+                inner_solve: ctx.inner_solve,
+                column: j,
+            };
+            let ores = arnoldi.expand(a, None, OrthoStrategy::Mgs, site, injector, None);
+            let res_est = arnoldi.push_column(ores.h, ores.vnorm);
+            let hnorm = vector::nrm2(&arnoldi.h_cols()[j - 1]);
             report.residual_history.push(res_est);
             report.residual_norm = res_est;
 
-            #[allow(clippy::neg_cmp_op_on_partial_ord)] // a NaN norm must count as breakdown
-            let breakdown = !(ores.vnorm.abs() > breakdown_tol);
-            let mut q_next = w.clone();
+            // The candidate q_{j+1} joins the basis now (at index
+            // `cand`); a rollback discards it with the rest.
+            let breakdown = arnoldi.is_breakdown(ores.vnorm);
             if !breakdown {
-                vector::scal(1.0 / ores.vnorm, &mut q_next);
+                arnoldi.normalize(ores.vnorm);
             }
+            let cand = audited.len();
 
             // ---- Online-ABFT check.
             //
             // Runs on schedule (every `check_every` iterations) and,
             // additionally, before trusting any breakdown: an invariant
             // subspace declared over an unverified basis could be a
-            // corruption artifact. The candidate q_next joins the audit
-            // only while its normalization is healthy (in the noise
-            // regime near a true invariant subspace, orthogonality loss
-            // is legitimate — a practical caveat of orthogonality-based
+            // corruption artifact. The candidate joins the audit only
+            // while its normalization is healthy (in the noise regime
+            // near a true invariant subspace, orthogonality loss is
+            // legitimate — a practical caveat of orthogonality-based
             // ABFT that the bound-based detector does not share).
             //
             // The orthogonality tolerance is scaled by ‖h‖/h_{j+1,j}: the
             // loss MGS legitimately commits when normalizing a nearly
             // invariant direction is O(ε·‖A q_j‖ / h_{j+1,j}).
-            let candidate_healthy = !breakdown && ores.vnorm > cfg.check_floor_rel * beta;
+            let candidate_healthy = !breakdown && ores.vnorm > CHECK_FLOOR_REL * beta;
             let scheduled = j % cfg.check_every == 0;
             let unaudited_pending = audited.iter().any(|&a| !a);
             if (scheduled && candidate_healthy) || ((breakdown || scheduled) && unaudited_pending) {
                 stats.checks += 1;
-                let eff_ortho_tol = cfg
-                    .ortho_tol
+                let eff_ortho_tol = ORTHO_TOL
                     .max(1e4 * f64::EPSILON * hnorm / ores.vnorm.abs().max(f64::MIN_POSITIVE));
+                let basis = arnoldi.basis();
                 let mut violated = false;
                 if candidate_healthy {
-                    let qn = vector::nrm2(&q_next);
                     stats.extra_dots += 1;
-                    if (qn - 1.0).abs() > cfg.norm_tol {
-                        violated = true;
-                    }
+                    violated = (vector::nrm2(&basis[cand]) - 1.0).abs() > NORM_TOL;
                 }
                 if !violated {
                     // Verify every not-yet-audited basis vector (plus the
                     // healthy candidate) against all its predecessors —
                     // corruption committed anywhere since the last check
                     // is caught here.
-                    let upper = if candidate_healthy { basis.len() } else { basis.len() - 1 };
+                    let upper = if candidate_healthy { cand } else { cand - 1 };
                     'check: for k in 1..=upper {
-                        if k < basis.len() && audited[k] {
+                        if k < cand && audited[k] {
                             continue;
                         }
-                        let qk = if k == basis.len() { &q_next } else { &basis[k] };
-                        let tol_k = if k == basis.len() { eff_ortho_tol } else { cfg.ortho_tol };
+                        let tol_k = if k == cand { eff_ortho_tol } else { ORTHO_TOL };
                         for qi in basis.iter().take(k) {
                             stats.extra_dots += 1;
-                            let d = vector::dot(qi, qk).abs();
-                            if d > tol_k {
-                                if std::env::var_os("SDC_ABFT_DEBUG").is_some() {
-                                    eprintln!(
-                                        "ABFT violation j={j} k={k} dot={d:.3e} tol={tol_k:.3e} vnorm={:.3e} hnorm={hnorm:.3e}",
-                                        ores.vnorm
-                                    );
-                                }
+                            if vector::dot(qi, &basis[k]).abs() > tol_k {
                                 violated = true;
                                 break 'check;
                             }
                         }
-                        if k < basis.len() {
+                        if k < cand {
                             audited[k] = true;
                         }
                     }
@@ -252,37 +220,31 @@ pub fn abft_gmres_solve<A: LinearOperator + ?Sized>(
                 if candidate_healthy {
                     // The candidate passed its audit.
                     audited.push(true);
-                    basis.push(q_next);
                     if cfg.tol > 0.0 && res_est <= target {
-                        apply_update(&mut x, &basis, &hqr, &mut report);
                         finished = Some(SolveOutcome::Converged);
-                        break 'cycles;
+                        break;
                     }
                     continue;
                 }
             }
 
             if breakdown {
-                apply_update(&mut x, &basis, &hqr, &mut report);
                 finished = Some(SolveOutcome::InvariantSubspace);
-                break 'cycles;
+                break;
             }
-
-            // Push unaudited (scheduled checks will audit healthy ones;
+            // Unaudited (scheduled checks will audit healthy ones;
             // noise-regime vectors stay exempt).
             audited.push(!candidate_healthy);
-            basis.push(q_next);
             if cfg.tol > 0.0 && res_est <= target {
-                apply_update(&mut x, &basis, &hqr, &mut report);
                 finished = Some(SolveOutcome::Converged);
-                break 'cycles;
+                break;
             }
         }
-        apply_update(&mut x, &basis, &hqr, &mut report);
-        if matches!(report.outcome, SolveOutcome::NumericalBreakdown(_)) {
-            break 'cycles;
+        if let Err(e) = arnoldi.update(&mut x, arnoldi.basis(), LstsqPolicy::Standard) {
+            report.outcome = SolveOutcome::NumericalBreakdown(e.to_string());
+            break;
         }
-        if iterations_done >= cfg.max_iters {
+        if finished.is_none() && iterations_done >= cfg.max_iters {
             finished = Some(SolveOutcome::MaxIterations);
         }
     }
@@ -297,37 +259,11 @@ pub fn abft_gmres_solve<A: LinearOperator + ?Sized>(
     (x, report, stats)
 }
 
-fn apply_update(x: &mut [f64], basis: &[Vec<f64>], hqr: &HessenbergQr, report: &mut SolveReport) {
-    if hqr.k() == 0 {
-        return;
-    }
-    match solve_projected(&hqr.r_matrix(), hqr.rhs(), LstsqPolicy::Standard) {
-        Ok(out) => {
-            for (c, &yc) in out.y.iter().enumerate() {
-                vector::par_axpy(yc, &basis[c], x);
-            }
-        }
-        Err(e) => {
-            report.outcome = SolveOutcome::NumericalBreakdown(e.to_string());
-        }
-    }
-}
-
-/// Fault-free convenience wrapper.
-pub fn abft_gmres_solve_clean<A: LinearOperator + ?Sized>(
-    a: &A,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    cfg: &AbftGmresConfig,
-) -> (Vec<f64>, SolveReport, AbftStats) {
-    abft_gmres_solve(a, b, x0, cfg, &NoFaults, SiteContext::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdc_faults::trigger::LoopPosition;
-    use sdc_faults::{FaultModel, SingleFaultInjector, SitePredicate, Trigger};
+    use sdc_faults::{FaultModel, NoFaults, SingleFaultInjector, SitePredicate, Trigger};
     use sdc_sparse::gallery;
 
     fn b_for(a: &sdc_sparse::CsrMatrix) -> Vec<f64> {
@@ -342,7 +278,8 @@ mod tests {
         let a = gallery::poisson2d(10);
         let b = b_for(&a);
         let cfg = AbftGmresConfig { tol: 1e-9, max_iters: 300, ..Default::default() };
-        let (x, rep, stats) = abft_gmres_solve_clean(&a, &b, None, &cfg);
+        let (x, rep, stats) =
+            abft_gmres_solve(&a, &b, None, &cfg, &NoFaults, SiteContext::default());
         assert!(rep.outcome.is_converged(), "{:?}", rep.outcome);
         assert_eq!(stats.violations, 0, "false positive");
         assert_eq!(stats.rollbacks, 0);
@@ -442,7 +379,7 @@ mod tests {
         let a = gallery::poisson2d(8);
         let b = b_for(&a);
         let cfg = AbftGmresConfig { tol: 0.0, max_iters: 8, check_every: 4, ..Default::default() };
-        let (_, _, stats) = abft_gmres_solve_clean(&a, &b, None, &cfg);
+        let (_, _, stats) = abft_gmres_solve(&a, &b, None, &cfg, &NoFaults, SiteContext::default());
         assert_eq!(stats.checks, 2);
         // Each check costs 1 norm + pairwise dots over the unchecked
         // window: j=4 verifies q₂..q₅ (1+2+3+4 dots), j=8 verifies

@@ -1,18 +1,156 @@
-//! The plain Arnoldi process, exposed for analysis.
+//! The Arnoldi process — the one loop every Krylov solver here runs.
 //!
-//! GMRES embeds Arnoldi (Algorithm 1, lines 3–14); the solvers run it
-//! inline for efficiency. This module exposes the process standalone so
-//! experiments can inspect the upper Hessenberg matrix itself — Fig. 2 of
-//! the paper turns on exactly this: for a symmetric operator `H` is
-//! tridiagonal (entries `h_ij ≈ 0` for `i < j−1`), so an SDC striking one
-//! of those "structural zeros" is especially damaging, while for a
-//! nonsymmetric operator every entry may be legitimately nonzero.
+//! GMRES (Algorithm 1, lines 3–14), FGMRES (Algorithm 2), the ABFT
+//! baseline and the standalone [`arnoldi`] decomposition all step one
+//! `Arnoldi` state: the orthonormal basis `Q`, the work vector `w`, the
+//! raw Hessenberg columns and their incremental Givens QR. A step is
+//! `expand` (`w = A v`, orthogonalized through the fault injector and
+//! the §V detector), `push_column` (the free residual recurrence) and
+//! `normalize`; a cycle ends with `update`. Each solver keeps its own
+//! control flow — restart, trichotomy, audit — and its own trace events
+//! around those calls.
+//!
+//! [`arnoldi`] runs the process standalone so experiments can inspect
+//! the upper Hessenberg matrix itself — Fig. 2 of the paper turns on
+//! exactly this: for a symmetric operator `H` is tridiagonal (entries
+//! `h_ij ≈ 0` for `i < j−1`), so an SDC striking one of those
+//! "structural zeros" is especially damaging, while for a nonsymmetric
+//! operator every entry may be legitimately nonzero.
 
+use crate::detector::SdcDetector;
 use crate::operator::LinearOperator;
-use crate::ortho::{orthogonalize, OrthoSiteCtx, OrthoStrategy};
+use crate::ortho::{orthogonalize, OrthoResult, OrthoSiteCtx, OrthoStrategy};
+use sdc_dense::hessenberg_qr::HessenbergQr;
+use sdc_dense::lstsq::{solve_projected, LstsqError, LstsqPolicy};
 use sdc_dense::matrix::DenseMatrix;
 use sdc_dense::vector;
-use sdc_faults::NoFaults;
+use sdc_faults::{FaultInjector, NoFaults};
+
+/// Happy-breakdown threshold on `h_{j+1,j}`, relative to the cycle's
+/// initial residual norm β.
+const BREAKDOWN_REL: f64 = 1e-13;
+
+/// The state of one Arnoldi cycle, with buffers kept across cycles.
+pub(crate) struct Arnoldi {
+    /// Orthonormal basis `q₁ … q_{j+1}`.
+    basis: Vec<Vec<f64>>,
+    /// Basis vectors of finished cycles, reused by the next one.
+    spare: Vec<Vec<f64>>,
+    /// The direction being orthogonalized; becomes the next basis vector.
+    w: Vec<f64>,
+    /// Hessenberg columns `[h_{1..j,j}; h_{j+1,j}]` as orthogonalized.
+    h_cols: Vec<Vec<f64>>,
+    /// Incremental Givens QR of those columns against `β e₁`.
+    hqr: HessenbergQr,
+}
+
+impl Arnoldi {
+    /// An empty state for operators of order `n`.
+    pub fn new(n: usize) -> Self {
+        Self {
+            basis: Vec::new(),
+            spare: Vec::new(),
+            w: vec![0.0; n],
+            h_cols: Vec::new(),
+            hqr: HessenbergQr::new(0.0),
+        }
+    }
+
+    /// Starts a cycle from `q₁ = r/β` with an empty `H`.
+    pub fn start(&mut self, r: &[f64], beta: f64) {
+        self.spare.append(&mut self.basis);
+        let mut q1 = self.spare.pop().unwrap_or_else(|| vec![0.0; r.len()]);
+        q1.copy_from_slice(r);
+        vector::scal(1.0 / beta, &mut q1);
+        self.basis.push(q1);
+        self.h_cols.clear();
+        self.hqr = HessenbergQr::new(beta);
+    }
+
+    /// Computes `w = A v` and orthogonalizes it against the basis, every
+    /// coefficient passing through `injector` and `detector`. `v` is the
+    /// newest basis vector when `None`; FGMRES passes its preconditioned
+    /// direction `z_j`.
+    pub fn expand<A: LinearOperator + ?Sized>(
+        &mut self,
+        a: &A,
+        v: Option<&[f64]>,
+        ortho: OrthoStrategy,
+        site: OrthoSiteCtx,
+        injector: &dyn FaultInjector,
+        detector: Option<&SdcDetector>,
+    ) -> OrthoResult {
+        let v = match v {
+            Some(v) => v,
+            None => self.basis.last().expect("Arnoldi::start before expand"),
+        };
+        a.apply(v, &mut self.w);
+        orthogonalize(ortho, &self.basis, &mut self.w, site, injector, detector)
+    }
+
+    /// Appends the column `[h; h_next]` to `H` and returns the new
+    /// least-squares residual estimate.
+    pub fn push_column(&mut self, mut h: Vec<f64>, h_next: f64) -> f64 {
+        h.push(h_next);
+        let res_est = self.hqr.push_column(&h);
+        self.h_cols.push(h);
+        res_est
+    }
+
+    /// True when `h_next` signals an invariant subspace: at most
+    /// `BREAKDOWN_REL·β`, or NaN.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // a NaN norm must count as breakdown
+    pub fn is_breakdown(&self, h_next: f64) -> bool {
+        !(h_next.abs() > BREAKDOWN_REL * self.hqr.beta())
+    }
+
+    /// Normalizes `w` into the basis, `q_{j+1} = w / h_next`.
+    pub fn normalize(&mut self, h_next: f64) {
+        let fresh = self.spare.pop().unwrap_or_else(|| vec![0.0; self.w.len()]);
+        let mut q = std::mem::replace(&mut self.w, fresh);
+        vector::scal(1.0 / h_next, &mut q);
+        self.basis.push(q);
+    }
+
+    /// Solves the projected least-squares problem under `policy` and
+    /// applies `x ← x + D y`. GMRES passes the basis `Q`, FGMRES its
+    /// preconditioned directions `Z` (Algorithm 2, line 22).
+    pub fn update(
+        &self,
+        x: &mut [f64],
+        directions: &[Vec<f64>],
+        policy: LstsqPolicy,
+    ) -> Result<(), LstsqError> {
+        if self.hqr.k() == 0 {
+            return Ok(());
+        }
+        let out = solve_projected(&self.hqr.r_matrix(), self.hqr.rhs(), policy)?;
+        for (c, &yc) in out.y.iter().enumerate() {
+            vector::par_axpy(yc, &directions[c], x);
+        }
+        Ok(())
+    }
+
+    /// Completed steps `j` (columns of `H`).
+    pub fn steps(&self) -> usize {
+        self.hqr.k()
+    }
+
+    /// The orthonormal basis `Q`.
+    pub fn basis(&self) -> &[Vec<f64>] {
+        &self.basis
+    }
+
+    /// The newest basis vector.
+    pub fn last(&self) -> &[f64] {
+        self.basis.last().expect("Arnoldi::start before last")
+    }
+
+    /// The Hessenberg columns pushed this cycle.
+    pub fn h_cols(&self) -> &[Vec<f64>] {
+        &self.h_cols
+    }
+}
 
 /// Result of `m` steps of Arnoldi.
 #[derive(Clone, Debug)]
@@ -37,37 +175,27 @@ pub fn arnoldi<A: LinearOperator + ?Sized>(
     let n = a.nrows();
     assert!(a.is_square(), "arnoldi: operator must be square");
     assert_eq!(v0.len(), n, "arnoldi: v0 length");
-    let mut q1 = v0.to_vec();
-    let beta = vector::normalize(&mut q1);
-    assert!(beta > 0.0, "arnoldi: zero start vector");
+    let beta = vector::nrm2(v0);
+    assert!(beta > 0.0 && beta.is_finite(), "arnoldi: zero or non-finite start vector");
 
-    let mut q: Vec<Vec<f64>> = vec![q1];
-    let mut h_cols: Vec<Vec<f64>> = Vec::with_capacity(m);
+    let mut state = Arnoldi::new(n);
+    state.start(v0, beta);
     let mut breakdown = false;
-
     for j in 1..=m {
-        // Applied straight into the buffer that becomes `q_{j+1}`.
-        let mut v = vec![0.0; n];
-        a.apply(&q[j - 1], &mut v);
-        let ores = orthogonalize(
-            strategy,
-            &q,
-            &mut v,
-            OrthoSiteCtx { outer_iteration: 0, inner_solve: 0, column: j },
-            &NoFaults,
-            None,
-        );
-        let mut col = ores.h;
-        col.push(ores.vnorm);
-        h_cols.push(col);
+        let site = OrthoSiteCtx { outer_iteration: 0, inner_solve: 0, column: j };
+        let ores = state.expand(a, None, strategy, site, &NoFaults, None);
+        state.push_column(ores.h, ores.vnorm);
         if ores.vnorm <= 1e-12 * beta.max(1.0) {
             breakdown = true;
             break;
         }
-        vector::scal(1.0 / ores.vnorm, &mut v);
-        q.push(v);
+        state.normalize(ores.vnorm);
     }
+    ArnoldiDecomposition { h: dense_hessenberg(&state.h_cols), q: state.basis, breakdown }
+}
 
+/// The `(k+1) × k` dense Hessenberg matrix of `k` columns.
+fn dense_hessenberg(h_cols: &[Vec<f64>]) -> DenseMatrix {
     let k = h_cols.len();
     let mut h = DenseMatrix::zeros(k + 1, k);
     for (c, col) in h_cols.iter().enumerate() {
@@ -75,14 +203,14 @@ pub fn arnoldi<A: LinearOperator + ?Sized>(
             h[(r, c)] = val;
         }
     }
-    ArnoldiDecomposition { q, h, breakdown }
+    h
 }
 
 /// Arnoldi with Householder reflections (Walker's method) — the third
 /// orthogonalization the paper names. Costlier than Gram-Schmidt but
 /// unconditionally orthogonal to machine precision; the Eq.-3 bound
-/// `|h_ij| ≤ ‖A‖_F` is invariant to this choice, which
-/// [`householder_matches_mgs_bound`](#)'s tests verify.
+/// `|h_ij| ≤ ‖A‖_F` is invariant to this choice, which the tests below
+/// verify.
 pub fn householder_arnoldi<A: LinearOperator + ?Sized>(
     a: &A,
     v0: &[f64],
@@ -168,14 +296,7 @@ pub fn householder_arnoldi<A: LinearOperator + ?Sized>(
         q.push(basis_vec(&reflectors, j + 1, n));
     }
 
-    let k = h_cols.len();
-    let mut h = DenseMatrix::zeros(k + 1, k);
-    for (c, col) in h_cols.iter().enumerate() {
-        for (r, &val) in col.iter().enumerate() {
-            h[(r, c)] = val;
-        }
-    }
-    ArnoldiDecomposition { q, h, breakdown }
+    ArnoldiDecomposition { q, h: dense_hessenberg(&h_cols), breakdown }
 }
 
 /// Measures how far `H` is from tridiagonal: the largest `|h_ij|` with

@@ -1,9 +1,12 @@
-//! Flexible GMRES — Algorithm 2 of the paper.
+//! Flexible GMRES — Algorithm 2 of the paper, over the shared `Arnoldi`
+//! core.
 //!
 //! FGMRES lets the preconditioner change every iteration, which is what
 //! makes inner-outer iterations (and hence FT-GMRES) possible: a faulty
-//! inner solve is just "a different preconditioner". The implementation
-//! adds the two reliability features §VI calls out:
+//! inner solve is just "a different preconditioner". The Arnoldi step
+//! expands the preconditioned direction `z_j` instead of `q_j`, and the
+//! update lives in the span of the `z`s. The implementation adds the two
+//! reliability features §VI calls out:
 //!
 //! * **Rank monitoring / trichotomy** (§VI-C): when the subdiagonal
 //!   `h_{j+1,j}` vanishes, FGMRES — unlike GMRES — cannot conclude
@@ -11,8 +14,7 @@
 //!   (Saad, Prop. 2.2). The solver checks the square projected matrix
 //!   with the rank-revealing SVD and reports either
 //!   [`SolveOutcome::InvariantSubspace`] (converged) or the loud
-//!   [`SolveOutcome::RankDeficient`]. Per-iteration `O(j²)` condition
-//!   estimates of the triangular factor are kept as telemetry.
+//!   [`SolveOutcome::RankDeficient`].
 //! * **Reliable final verification**: the outer solver re-computes the
 //!   true residual `b − A x` reliably before declaring convergence; if
 //!   garbage inner results made the recurrence lie, the outer iteration
@@ -20,14 +22,13 @@
 //!   wrong answer — "the outer solver will never compute the wrong
 //!   answer, no matter what the inner solves do".
 
+use crate::arnoldi::Arnoldi;
 use crate::detector::Violation;
 use crate::operator::{residual, LinearOperator};
-use crate::ortho::{orthogonalize, OrthoSiteCtx, OrthoStrategy};
+use crate::ortho::{OrthoSiteCtx, OrthoStrategy};
 use crate::precond::Preconditioner;
 use crate::telemetry::{SolveOutcome, SolveReport};
-use sdc_dense::condest::estimate_condition;
-use sdc_dense::hessenberg_qr::HessenbergQr;
-use sdc_dense::lstsq::{solve_projected, LstsqPolicy};
+use sdc_dense::lstsq::LstsqPolicy;
 use sdc_dense::matrix::DenseMatrix;
 use sdc_dense::svd::jacobi_svd;
 use sdc_dense::vector;
@@ -40,6 +41,13 @@ static EV_OUTER: sdc_obs::Callsite =
 /// End of an FGMRES solve, with the reliably verified residual.
 static EV_DONE: sdc_obs::Callsite =
     sdc_obs::Callsite { name: "fgmres.done", channel: sdc_obs::Channel::Det };
+
+/// Relative singular-value tolerance declaring `H(1:j,1:j)` rank
+/// deficient.
+const RANK_TOL: f64 = 1e-12;
+/// Outer restarts allowed when the reliable check rejects a "converged"
+/// iterate.
+const MAX_OUTER_RESTARTS: usize = 3;
 
 /// What one application of a flexible preconditioner reports back.
 #[derive(Clone, Debug, Default)]
@@ -92,28 +100,19 @@ impl<P: Preconditioner> FlexiblePreconditioner for FixedPrecond<P> {
     }
 }
 
-/// FGMRES configuration.
+/// FGMRES configuration. The outer iteration always orthogonalizes
+/// reliably with MGS.
 #[derive(Clone, Copy, Debug)]
 pub struct FgmresConfig {
     /// Relative residual target.
     pub tol: f64,
     /// Outer iteration budget (across outer restarts).
     pub max_outer: usize,
-    /// Outer orthogonalization (reliable; MGS by default).
-    pub ortho: OrthoStrategy,
     /// Projected least-squares policy for the outer update coefficients.
     pub lsq_policy: LstsqPolicy,
-    /// Happy-breakdown threshold relative to the cycle's initial residual.
-    pub breakdown_rel: f64,
-    /// Relative singular-value tolerance declaring `H(1:j,1:j)` rank
-    /// deficient.
-    pub rank_tol: f64,
     /// Safety factor on the reliable final residual check: accept if
     /// `‖b−Ax‖ ≤ final_check_slack · tol · ‖b‖`.
     pub final_check_slack: f64,
-    /// Outer restarts allowed when the reliable check rejects a
-    /// "converged" iterate.
-    pub max_outer_restarts: usize,
 }
 
 impl Default for FgmresConfig {
@@ -121,12 +120,8 @@ impl Default for FgmresConfig {
         Self {
             tol: 1e-8,
             max_outer: 60,
-            ortho: OrthoStrategy::Mgs,
             lsq_policy: LstsqPolicy::Standard,
-            breakdown_rel: 1e-13,
-            rank_tol: 1e-12,
             final_check_slack: 10.0,
-            max_outer_restarts: 3,
         }
     }
 }
@@ -173,6 +168,8 @@ where
     let mut outer_restarts = 0usize;
     let mut r = vec![0.0; n];
     let mut finished: Option<SolveOutcome> = None;
+    let mut arnoldi = Arnoldi::new(n);
+    let mut z_basis: Vec<Vec<f64>> = Vec::new();
 
     'cycles: while finished.is_none() {
         residual(a, b, &x, &mut r);
@@ -190,25 +187,18 @@ where
             report.true_residual_norm = Some(beta);
             break;
         }
-        let breakdown_tol = cfg.breakdown_rel * beta;
-
-        let mut v_basis: Vec<Vec<f64>> = Vec::new();
-        let mut z_basis: Vec<Vec<f64>> = Vec::new();
-        let mut h_cols: Vec<Vec<f64>> = Vec::new();
-        let mut q1 = r.clone();
-        vector::scal(1.0 / beta, &mut q1);
-        v_basis.push(q1);
-        let mut hqr = HessenbergQr::new(beta);
-        let mut w = vec![0.0; n];
-        let mut z = vec![0.0; n];
+        arnoldi.start(&r, beta);
+        z_basis.clear();
 
         while outer_done < cfg.max_outer {
-            let j = hqr.k() + 1;
+            let j = arnoldi.steps() + 1;
             outer_done += 1;
             report.iterations = outer_done;
 
             // ---- Unreliable phase: apply the flexible preconditioner.
-            let preport = precond.apply_flexible(outer_done, v_basis.last().unwrap(), &mut z);
+            z_basis.push(vec![0.0; n]);
+            let z = z_basis.last_mut().expect("just pushed");
+            let preport = precond.apply_flexible(outer_done, arnoldi.last(), z);
             report.total_inner_iterations += preport.inner_iterations;
             report.detector_events.extend(preport.detector_events.iter().copied());
             report.detector_restarts += preport.detector_restarts;
@@ -222,19 +212,10 @@ where
             }
 
             // ---- Reliable phase.
-            z_basis.push(z.clone());
-            a.apply(&z, &mut w);
-            let mut ores = orthogonalize(
-                cfg.ortho,
-                &v_basis,
-                &mut w,
-                OrthoSiteCtx { outer_iteration: outer_done, inner_solve: 0, column: j },
-                &NoFaults,
-                None,
-            );
-
-            #[allow(clippy::neg_cmp_op_on_partial_ord)] // a NaN norm must count as breakdown
-            if !(ores.vnorm.abs() > breakdown_tol) {
+            let site = OrthoSiteCtx { outer_iteration: outer_done, inner_solve: 0, column: j };
+            let mut ores =
+                arnoldi.expand(a, Some(z.as_slice()), OrthoStrategy::Mgs, site, &NoFaults, None);
+            if arnoldi.is_breakdown(ores.vnorm) {
                 // The new direction vanished. If the projected matrix
                 // including this column is rank deficient, the inner
                 // result was useless (e.g. a near-zero vector from a
@@ -243,37 +224,25 @@ where
                 // before concluding anything — the sandbox model promises
                 // nothing about inner results, and the identity
                 // preconditioner is always a sound substitute.
-                let mut candidate = h_cols.clone();
+                let mut candidate = arnoldi.h_cols().to_vec();
                 let mut hcol = ores.h.clone();
                 hcol.push(ores.vnorm);
                 candidate.push(hcol);
-                let deficient = !square_hessenberg_is_full_rank(&candidate, cfg.rank_tol);
-                let q_j = v_basis.last().unwrap().clone();
-                let z_was_q = {
-                    let zz = z_basis.last().unwrap();
-                    zz.iter().zip(q_j.iter()).all(|(a, b)| a == b)
-                };
-                if deficient && !z_was_q {
+                if !square_hessenberg_is_full_rank(&candidate) && z.as_slice() != arnoldi.last() {
                     report.inner_rejections += 1;
-                    z_basis.pop();
-                    z_basis.push(q_j.clone());
-                    z.copy_from_slice(&q_j);
-                    a.apply(&z, &mut w);
-                    ores = orthogonalize(
-                        cfg.ortho,
-                        &v_basis,
-                        &mut w,
-                        OrthoSiteCtx { outer_iteration: outer_done, inner_solve: 0, column: j },
+                    z.copy_from_slice(arnoldi.last());
+                    ores = arnoldi.expand(
+                        a,
+                        Some(z.as_slice()),
+                        OrthoStrategy::Mgs,
+                        site,
                         &NoFaults,
                         None,
                     );
                 }
             }
 
-            let mut hcol = ores.h.clone();
-            hcol.push(ores.vnorm);
-            h_cols.push(hcol.clone());
-            let res_est = hqr.push_column(&hcol);
+            let res_est = arnoldi.push_column(ores.h, ores.vnorm);
             report.residual_history.push(res_est);
             report.residual_norm = res_est;
             if sdc_obs::enabled() {
@@ -289,13 +258,14 @@ where
                     .emit();
             }
 
-            #[allow(clippy::neg_cmp_op_on_partial_ord)] // a NaN norm must count as breakdown
-            if !(ores.vnorm.abs() > breakdown_tol) {
+            if arnoldi.is_breakdown(ores.vnorm) {
                 // Breakdown: FGMRES' trichotomy (§VI-C). Decide with the
                 // rank-revealing factorization of the square projected
                 // matrix H(1:j,1:j).
-                if square_hessenberg_is_full_rank(&h_cols, cfg.rank_tol) {
-                    apply_update(&mut x, &z_basis, &hqr, cfg.lsq_policy, &mut report);
+                if square_hessenberg_is_full_rank(arnoldi.h_cols()) {
+                    if let Err(e) = arnoldi.update(&mut x, &z_basis, cfg.lsq_policy) {
+                        report.outcome = SolveOutcome::NumericalBreakdown(e.to_string());
+                    }
                     residual(a, b, &x, &mut r);
                     report.true_residual_norm = Some(vector::nrm2(&r));
                     finished = Some(SolveOutcome::InvariantSubspace);
@@ -304,15 +274,12 @@ where
                 }
                 break 'cycles;
             }
-
-            let mut q_next = w.clone();
-            vector::scal(1.0 / ores.vnorm, &mut q_next);
-            v_basis.push(q_next);
+            arnoldi.normalize(ores.vnorm);
 
             if res_est <= target {
                 // Candidate convergence — verify reliably before claiming.
-                apply_update(&mut x, &z_basis, &hqr, cfg.lsq_policy, &mut report);
-                if matches!(report.outcome, SolveOutcome::NumericalBreakdown(_)) {
+                if let Err(e) = arnoldi.update(&mut x, &z_basis, cfg.lsq_policy) {
+                    report.outcome = SolveOutcome::NumericalBreakdown(e.to_string());
                     break 'cycles;
                 }
                 residual(a, b, &x, &mut r);
@@ -324,7 +291,7 @@ where
                 }
                 // The recurrence lied (tainted inner data). Restart the
                 // outer iteration from the current reliable iterate.
-                if outer_restarts < cfg.max_outer_restarts {
+                if outer_restarts < MAX_OUTER_RESTARTS {
                     outer_restarts += 1;
                     continue 'cycles;
                 }
@@ -334,7 +301,9 @@ where
         }
 
         if outer_done >= cfg.max_outer && finished.is_none() {
-            apply_update(&mut x, &z_basis, &hqr, cfg.lsq_policy, &mut report);
+            if let Err(e) = arnoldi.update(&mut x, &z_basis, cfg.lsq_policy) {
+                report.outcome = SolveOutcome::NumericalBreakdown(e.to_string());
+            }
             residual(a, b, &x, &mut r);
             report.true_residual_norm = Some(vector::nrm2(&r));
             finished = Some(SolveOutcome::MaxIterations);
@@ -364,8 +333,9 @@ where
 }
 
 /// Checks whether the square projected matrix `H(1:j,1:j)` has full
-/// numerical rank at relative tolerance `tol` (the trichotomy test).
-fn square_hessenberg_is_full_rank(h_cols: &[Vec<f64>], tol: f64) -> bool {
+/// numerical rank at relative tolerance [`RANK_TOL`] (the trichotomy
+/// test).
+fn square_hessenberg_is_full_rank(h_cols: &[Vec<f64>]) -> bool {
     let j = h_cols.len();
     if j == 0 {
         return true;
@@ -377,40 +347,8 @@ fn square_hessenberg_is_full_rank(h_cols: &[Vec<f64>], tol: f64) -> bool {
         }
     }
     match jacobi_svd(&hsq) {
-        Ok(svd) => svd.rank(tol) == j,
+        Ok(svd) => svd.rank(RANK_TOL) == j,
         Err(_) => false,
-    }
-}
-
-/// Per-iteration condition telemetry of the outer triangular factor
-/// (exposed for experiments; the solver itself uses it only for
-/// diagnostics).
-pub fn outer_factor_condition(hqr: &HessenbergQr) -> f64 {
-    estimate_condition(&hqr.r_matrix()).cond()
-}
-
-fn apply_update(
-    x: &mut [f64],
-    z_basis: &[Vec<f64>],
-    hqr: &HessenbergQr,
-    policy: LstsqPolicy,
-    report: &mut SolveReport,
-) {
-    let k = hqr.k();
-    if k == 0 {
-        return;
-    }
-    match solve_projected(&hqr.r_matrix(), hqr.rhs(), policy) {
-        Ok(out) => {
-            // x = x0 + Z y (Algorithm 2, line 22): the update lives in the
-            // span of the *preconditioned* vectors.
-            for (c, &yc) in out.y.iter().enumerate() {
-                vector::par_axpy(yc, &z_basis[c], x);
-            }
-        }
-        Err(e) => {
-            report.outcome = SolveOutcome::NumericalBreakdown(e.to_string());
-        }
     }
 }
 
@@ -513,9 +451,9 @@ mod tests {
     fn square_rank_check_detects_singularity() {
         // h columns representing H(1:2,1:2) = [[1,1],[0,0]] (singular).
         let cols = vec![vec![1.0, 0.0], vec![1.0, 0.0, 0.0]];
-        assert!(!square_hessenberg_is_full_rank(&cols, 1e-12));
+        assert!(!square_hessenberg_is_full_rank(&cols));
         let cols = vec![vec![1.0, 0.5], vec![1.0, 2.0, 0.0]];
-        assert!(square_hessenberg_is_full_rank(&cols, 1e-12));
+        assert!(square_hessenberg_is_full_rank(&cols));
     }
 
     #[test]

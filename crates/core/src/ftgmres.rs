@@ -20,14 +20,12 @@
 use crate::detector::SdcDetector;
 use crate::fgmres::{fgmres_solve, FgmresConfig, FlexiblePreconditioner, PrecondReport};
 use crate::gmres::{gmres_solve_instrumented, GmresConfig, SiteContext};
-use crate::operator::{FnOperator, LinearOperator};
-use crate::precond::{BuiltPrecond, FaultedPrecond};
+use crate::operator::LinearOperator;
+use crate::precond::{right_preconditioned, BuiltPrecond, FaultedPrecond};
 use crate::telemetry::{SolveOutcome, SolveReport};
 use sdc_dense::lstsq::LstsqPolicy;
 use sdc_faults::{FaultInjector, NoFaults};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// FT-GMRES configuration. The inner solves always orthogonalize with
 /// MGS, and the outer layer always rejects non-finite inner results.
@@ -108,20 +106,9 @@ impl<'a, A: LinearOperator + ?Sized> InnerGmresPrecond<'a, A> {
         let Some(precond) = &self.precond else {
             return gmres_solve_instrumented(self.a, q, None, &self.cfg, self.injector, ctx);
         };
-        let n = self.a.nrows();
-        let a = self.a;
-        // Apply-ordinal counter for transient preconditioner faults.
-        // Atomic only because `FnOperator` requires `Fn + Sync`; the
-        // inner GMRES applies the operator strictly sequentially, so the
-        // ordinal sequence is deterministic.
-        let applies = AtomicUsize::new(0);
-        // One `M⁻¹u` buffer for every apply (each solve overwrites it).
-        let m_u = Mutex::new(vec![0.0; n]);
-        let op = FnOperator::square(n, |u: &[f64], y: &mut [f64]| {
-            let ordinal = applies.fetch_add(1, Ordering::Relaxed) + 1;
-            let mut m_u = m_u.lock().unwrap_or_else(|e| e.into_inner());
-            precond.solve_faulted(u, &mut m_u, outer_iteration, ordinal);
-            a.apply(&m_u, y);
+        // The apply ordinal addresses transient preconditioner faults.
+        let op = right_preconditioned(self.a, |u, m_u, ordinal| {
+            precond.solve_faulted(u, m_u, outer_iteration, ordinal)
         });
         gmres_solve_instrumented(&op, q, None, &self.cfg, self.injector, ctx)
     }

@@ -1,6 +1,6 @@
 //! GMRES — Algorithm 1 of the paper, instrumented for fault injection.
 //!
-//! Restarted GMRES with:
+//! Restarted GMRES over the shared `Arnoldi` core, with:
 //!
 //! * pluggable orthogonalization ([`OrthoStrategy`]), each coefficient
 //!   passing through the fault injector and the SDC detector;
@@ -15,12 +15,13 @@
 //! fixed iteration count (`tol = 0`); standalone it is a conventional
 //! restarted GMRES.
 
+use crate::arnoldi::Arnoldi;
 use crate::detector::{DetectorResponse, SdcDetector};
-use crate::operator::{residual, FnOperator, LinearOperator};
-use crate::ortho::{orthogonalize, OrthoSiteCtx, OrthoStrategy};
+use crate::operator::{residual, LinearOperator};
+use crate::ortho::{OrthoSiteCtx, OrthoStrategy};
+use crate::precond::right_preconditioned;
 use crate::telemetry::{SolveOutcome, SolveReport};
-use sdc_dense::hessenberg_qr::HessenbergQr;
-use sdc_dense::lstsq::{solve_projected, LstsqPolicy};
+use sdc_dense::lstsq::LstsqPolicy;
 use sdc_dense::vector;
 use sdc_faults::{FaultInjector, NoFaults};
 
@@ -37,6 +38,10 @@ static EV_DETECT: sdc_obs::Callsite =
 /// End of one (possibly restarted) GMRES solve.
 static EV_DONE: sdc_obs::Callsite =
     sdc_obs::Callsite { name: "gmres.done", channel: sdc_obs::Channel::Det };
+
+/// Cap on detector-forced restarts (guards against non-transient
+/// injectors).
+const MAX_DETECTOR_RESTARTS: usize = 4;
 
 /// Nesting coordinates stamped on injection sites (zeros when GMRES runs
 /// standalone).
@@ -66,12 +71,6 @@ pub struct GmresConfig {
     pub lsq_policy: LstsqPolicy,
     /// The SDC detector; `None` runs undetected (the paper's baseline).
     pub detector: Option<SdcDetector>,
-    /// Happy-breakdown threshold on `h_{j+1,j}`, relative to the cycle's
-    /// initial residual norm.
-    pub breakdown_rel: f64,
-    /// Cap on detector-forced restarts (guards against non-transient
-    /// injectors).
-    pub max_detector_restarts: usize,
 }
 
 impl Default for GmresConfig {
@@ -83,8 +82,6 @@ impl Default for GmresConfig {
             ortho: OrthoStrategy::Mgs,
             lsq_policy: LstsqPolicy::Standard,
             detector: None,
-            breakdown_rel: 1e-13,
-            max_detector_restarts: 4,
         }
     }
 }
@@ -143,14 +140,7 @@ pub fn gmres_solve_right_precond<A: LinearOperator + ?Sized>(
         cfg_u.tol = cfg.tol * bnorm / r0norm;
     }
 
-    // One `M⁻¹u` buffer for every apply (each solve overwrites it); the
-    // lock is uncontended, GMRES applies the operator sequentially.
-    let z = std::sync::Mutex::new(vec![0.0; n]);
-    let op = FnOperator::square(n, |u: &[f64], y: &mut [f64]| {
-        let mut z = z.lock().unwrap_or_else(|e| e.into_inner());
-        precond.solve(u, &mut z);
-        a.apply(&z, y);
-    });
+    let op = right_preconditioned(a, |u, z, _| precond.solve(u, z));
     let (u, mut report) = gmres_solve(&op, &r0, None, &cfg_u);
 
     let mut x = vec![0.0; n];
@@ -209,14 +199,11 @@ pub fn gmres_solve_instrumented<A: LinearOperator + ?Sized>(
     let target = cfg.tol * bnorm;
 
     let mut iterations_done = 0usize;
-    let mut restarts_left = cfg.max_detector_restarts;
+    let mut restarts_left = MAX_DETECTOR_RESTARTS;
     let mut r = vec![0.0; n];
     let mut finished: Option<SolveOutcome> = None;
     let m = cfg.restart.unwrap_or(cfg.max_iters).max(1);
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-    // Basis vectors of finished cycles, reused by the next one.
-    let mut spare: Vec<Vec<f64>> = Vec::new();
-    let mut w = vec![0.0; n];
+    let mut arnoldi = Arnoldi::new(n);
 
     'cycles: while finished.is_none() {
         residual(a, b, &x, &mut r);
@@ -239,31 +226,16 @@ pub fn gmres_solve_instrumented<A: LinearOperator + ?Sized>(
             break;
         }
 
-        let breakdown_tol = cfg.breakdown_rel * beta;
-        spare.append(&mut basis);
-        let mut q1 = spare.pop().unwrap_or_else(|| vec![0.0; n]);
-        q1.copy_from_slice(&r);
-        vector::scal(1.0 / beta, &mut q1);
-        basis.push(q1);
-        let mut hqr = HessenbergQr::new(beta);
-
-        let mut j = 0usize;
-        while j < m && iterations_done < cfg.max_iters {
-            j += 1;
+        arnoldi.start(&r, beta);
+        while arnoldi.steps() < m && iterations_done < cfg.max_iters {
+            let j = arnoldi.steps() + 1;
             iterations_done += 1;
-            a.apply(&basis[j - 1], &mut w);
-            let ores = orthogonalize(
-                cfg.ortho,
-                &basis,
-                &mut w,
-                OrthoSiteCtx {
-                    outer_iteration: ctx.outer_iteration,
-                    inner_solve: ctx.inner_solve,
-                    column: j,
-                },
-                injector,
-                cfg.detector.as_ref(),
-            );
+            let site = OrthoSiteCtx {
+                outer_iteration: ctx.outer_iteration,
+                inner_solve: ctx.inner_solve,
+                column: j,
+            };
+            let ores = arnoldi.expand(a, None, cfg.ortho, site, injector, cfg.detector.as_ref());
             report.detector_events.extend(ores.violations.iter().copied());
             if !ores.violations.is_empty() {
                 let response = cfg.detector.expect("violations imply a detector").response;
@@ -297,9 +269,8 @@ pub fn gmres_solve_instrumented<A: LinearOperator + ?Sized>(
                     DetectorResponse::AbortInner => {
                         // Use the columns accumulated before the tainted
                         // one, then stop.
-                        apply_update(&mut x, &basis, &hqr, cfg.lsq_policy, &mut report);
                         finished = Some(SolveOutcome::MaxIterations);
-                        break 'cycles;
+                        break;
                     }
                     DetectorResponse::Halt => {
                         finished = Some(SolveOutcome::Halted(ores.violations[0]));
@@ -308,9 +279,7 @@ pub fn gmres_solve_instrumented<A: LinearOperator + ?Sized>(
                 }
             }
 
-            let mut hcol = ores.h;
-            hcol.push(ores.vnorm);
-            let res_est = hqr.push_column(&hcol);
+            let res_est = arnoldi.push_column(ores.h, ores.vnorm);
             report.residual_history.push(res_est);
             report.residual_norm = res_est;
             if sdc_obs::enabled() {
@@ -324,39 +293,32 @@ pub fn gmres_solve_instrumented<A: LinearOperator + ?Sized>(
                     .emit();
             }
 
-            #[allow(clippy::neg_cmp_op_on_partial_ord)] // a NaN norm must count as breakdown
-            if !(ores.vnorm.abs() > breakdown_tol) {
+            if arnoldi.is_breakdown(ores.vnorm) {
                 // Invariant subspace (or a faulted norm faking one — the
                 // reliable outer layer is who verifies).
-                apply_update(&mut x, &basis, &hqr, cfg.lsq_policy, &mut report);
                 finished = Some(SolveOutcome::InvariantSubspace);
-                break 'cycles;
+                break;
             }
             if cfg.tol > 0.0 && res_est <= target {
-                apply_update(&mut x, &basis, &hqr, cfg.lsq_policy, &mut report);
                 finished = Some(SolveOutcome::Converged);
-                break 'cycles;
+                break;
             }
-
-            // `w` becomes the next basis vector; the next apply overwrites
-            // whichever buffer takes its place.
-            let mut q_next = std::mem::replace(&mut w, spare.pop().unwrap_or_else(|| vec![0.0; n]));
-            vector::scal(1.0 / ores.vnorm, &mut q_next);
-            basis.push(q_next);
+            arnoldi.normalize(ores.vnorm);
         }
 
-        // Cycle exhausted: fold the update into x.
-        apply_update(&mut x, &basis, &hqr, cfg.lsq_policy, &mut report);
-        if matches!(report.outcome, SolveOutcome::NumericalBreakdown(_)) {
-            break 'cycles;
+        // The cycle ended (exhausted, or finished above): fold its
+        // update into x. A failed projected solve is loud and takes
+        // precedence over whatever the control flow concluded.
+        if let Err(e) = arnoldi.update(&mut x, arnoldi.basis(), cfg.lsq_policy) {
+            report.residual_history.push(f64::NAN);
+            report.outcome = SolveOutcome::NumericalBreakdown(e.to_string());
+            break;
         }
-        if iterations_done >= cfg.max_iters {
+        if finished.is_none() && iterations_done >= cfg.max_iters {
             finished = Some(SolveOutcome::MaxIterations);
         }
     }
 
-    // A numerical breakdown recorded by any apply_update is loud and takes
-    // precedence over whatever the control flow concluded.
     if !matches!(report.outcome, SolveOutcome::NumericalBreakdown(_)) {
         report.outcome = finished.unwrap_or(SolveOutcome::MaxIterations);
     }
@@ -378,33 +340,6 @@ pub fn gmres_solve_instrumented<A: LinearOperator + ?Sized>(
             .emit();
     }
     (x, report)
-}
-
-/// Solves the projected problem and applies `x ← x + Q y`. On failure,
-/// stashes a numerical-breakdown marker in the report (read back by
-/// [`report_numerical_breakdown`]).
-fn apply_update(
-    x: &mut [f64],
-    basis: &[Vec<f64>],
-    hqr: &HessenbergQr,
-    policy: LstsqPolicy,
-    report: &mut SolveReport,
-) {
-    let k = hqr.k();
-    if k == 0 {
-        return;
-    }
-    match solve_projected(&hqr.r_matrix(), hqr.rhs(), policy) {
-        Ok(out) => {
-            for (c, &yc) in out.y.iter().enumerate() {
-                vector::par_axpy(yc, &basis[c], x);
-            }
-        }
-        Err(e) => {
-            report.residual_history.push(f64::NAN);
-            report.outcome = SolveOutcome::NumericalBreakdown(e.to_string());
-        }
-    }
 }
 
 #[cfg(test)]

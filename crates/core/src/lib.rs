@@ -14,10 +14,15 @@
 //! * [`detector`] — the Hessenberg-bound detector of §V:
 //!   `|h_ij| ≤ ‖A‖₂ ≤ ‖A‖_F` (Eq. 3), with the response policies the
 //!   solvers support (record / restart inner / abort inner / halt).
-//! * [`gmres`] — restarted GMRES (Algorithm 1) with the incremental
-//!   Givens-QR least-squares solve and the three §VI-D solve policies.
+//! * [`arnoldi`] — the Arnoldi state every Krylov solver here steps
+//!   (basis, Hessenberg columns, their incremental Givens QR and the
+//!   least-squares update), and the standalone decomposition of Fig. 2.
+//! * [`gmres`] — restarted GMRES (Algorithm 1) with the three §VI-D
+//!   projected least-squares policies and the detector responses.
 //! * [`fgmres`] — Flexible GMRES (Algorithm 2) with rank monitoring of
 //!   the projected matrix and the "trichotomy" outcome (§VI-C).
+//! * [`abft`] — the Online-ABFT baseline: periodic orthogonality audits
+//!   with rollback.
 //! * [`ftgmres`] — FT-GMRES: reliable FGMRES outer iteration around
 //!   sandboxed, unreliable inner GMRES solves (§VI).
 //! * [`cg`] — Conjugate Gradient, the SPD baseline Table I alludes to.

@@ -27,16 +27,39 @@
 //! orthogonalization value above the operator-norm bound must be
 //! corrupt — carries over verbatim to the preconditioned operator.
 
+use crate::operator::{FnOperator, LinearOperator};
 use sdc_faults::{FaultInjector, Kernel, Site};
 use sdc_sparse::norm_est::norm2_est;
 use sdc_sparse::CsrMatrix;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// One unreliable preconditioner application inside an inner solve.
 /// Deterministic channel: the apply ordinals are a pure function of the
 /// solve trajectory (the inner GMRES applies its operator sequentially).
 static EV_APPLY: sdc_obs::Callsite =
     sdc_obs::Callsite { name: "precond.apply", channel: sdc_obs::Channel::Det };
+
+/// The right-preconditioned operator `B = A·M⁻¹`: `m_inv(u, z, k)`
+/// computes `z = M⁻¹u` for the `k`-th apply of `B` (1-based). The
+/// solvers apply their operator strictly sequentially, so the ordinals
+/// are deterministic and the one `M⁻¹u` buffer's lock is uncontended
+/// (atomic and locked only because [`FnOperator`] must be `Sync`).
+pub(crate) fn right_preconditioned<'a, A, M>(a: &'a A, m_inv: M) -> impl LinearOperator + 'a
+where
+    A: LinearOperator + ?Sized,
+    M: Fn(&[f64], &mut [f64], usize) + Sync + 'a,
+{
+    let n = a.nrows();
+    let applies = AtomicUsize::new(0);
+    let m_u = Mutex::new(vec![0.0; n]);
+    FnOperator::square(n, move |u: &[f64], y: &mut [f64]| {
+        let ordinal = applies.fetch_add(1, Ordering::Relaxed) + 1;
+        let mut m_u = m_u.lock().unwrap_or_else(|e| e.into_inner());
+        m_inv(u, &mut m_u, ordinal);
+        a.apply(&m_u, y);
+    })
+}
 
 /// Application of `z = M⁻¹ q`. Implementations may be stateful (`&mut`),
 /// which is what lets an inner iterative solve act as a preconditioner.

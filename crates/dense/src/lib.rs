@@ -24,9 +24,6 @@
 //!   in `O(k)` per iteration with an `O(1)` residual-norm recurrence.
 //! * The three projected least-squares policies of §VI-D of the paper
 //!   ([`lstsq`]).
-//! * Cheap condition estimation for growing triangular factors
-//!   ([`condest`]), implementing the `O(k²)` rank monitoring that gives
-//!   FGMRES its "trichotomy" guarantee.
 //!
 //! The scalar type is `f64` throughout: the paper's SDC model is defined on
 //! IEEE-754 binary64 data.
@@ -36,7 +33,6 @@
 // obscure the correspondence the reproduction is documenting.
 #![allow(clippy::needless_range_loop)]
 
-pub mod condest;
 pub mod eigen;
 pub mod givens;
 pub mod hessenberg_qr;
@@ -49,7 +45,6 @@ pub mod svd;
 pub mod triangular;
 pub mod vector;
 
-pub use condest::{smallest_singular_estimate, ConditionReport};
 pub use givens::GivensRotation;
 pub use hessenberg_qr::HessenbergQr;
 pub use householder::{householder_qr, HouseholderQr};
