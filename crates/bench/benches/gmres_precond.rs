@@ -15,6 +15,10 @@
 //! The bench also asserts the headline claim the preconditioners exist
 //! for: on poisson180 at tol 1e-8, ILU(0) or Chebyshev must converge in
 //! at most half the unpreconditioned iterations.
+//!
+//! `precond_apply_poisson180/{ilu0,chebyshev}` time one `z = M⁻¹q`
+//! apply alone: the preconditioner layer's own number, without the
+//! GMRES around it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdc_gmres::gmres::{gmres_solve_right_precond, GmresConfig};
@@ -118,6 +122,7 @@ fn bench_gmres_precond(c: &mut Criterion) {
         dump_iteration_counts(&format!("gmres_precond_iters_{}", case.name), &iters);
 
         if case.name == "poisson180" {
+            bench_apply(c, case.name, a, &b);
             let count = |k: PrecondKind| iters.iter().find(|(kk, _)| *kk == k).unwrap().1;
             let none = count(PrecondKind::None);
             let best = count(PrecondKind::Ilu0).min(count(PrecondKind::Chebyshev));
@@ -128,6 +133,20 @@ fn bench_gmres_precond(c: &mut Criterion) {
             );
         }
     }
+}
+
+/// One preconditioner apply per sample, for the kinds with real work.
+fn bench_apply(c: &mut Criterion, name: &str, a: &CsrMatrix, q: &[f64]) {
+    let mut g = c.benchmark_group(format!("precond_apply_{name}"));
+    g.sample_size(200);
+    let mut z = vec![0.0; a.nrows()];
+    for kind in [PrecondKind::Ilu0, PrecondKind::Chebyshev] {
+        let pc = BuiltPrecond::build(kind, a).unwrap_or_else(|e| panic!("{kind} on {name}: {e}"));
+        g.bench_with_input(BenchmarkId::from_parameter(kind), &kind, |bch, _| {
+            bch.iter(|| pc.solve(black_box(q), black_box(&mut z)))
+        });
+    }
+    g.finish();
 }
 
 criterion_group!(benches, bench_gmres_precond);

@@ -157,8 +157,11 @@ const CHEBYSHEV_EIG_BOOST: f64 = 1.1;
 /// kind of component whose silent corruption the preconditioned detector
 /// bound has to catch from the outside.
 ///
-/// Every operation is element-wise or an `A`-apply (`par_spmv`, which is
-/// bitwise thread-count-independent), so the application is bitwise
+/// An apply is one [`sdc_dense::team()`] region: each polynomial step is a
+/// phase in which every row computes `(A·z)ᵢ`
+/// ([`CsrMatrix::for_each_row_dot`]) and updates `dᵢ` and `zᵢ` right
+/// away. Every row is written by one thread with the same floating-point
+/// operations in the same order, so the application is bitwise
 /// deterministic at any thread count.
 #[derive(Clone, Debug)]
 pub struct ChebyshevPrecond {
@@ -194,28 +197,88 @@ impl ChebyshevPrecond {
 
     /// Computes `z = p(A)·q` (the stateless core of
     /// [`Preconditioner::apply`]).
+    ///
+    /// Step 1 sets `z₁ = d₁ = q/θ`; each later step is one phase of a
+    /// [`sdc_dense::team()`] region over the chunks of `d`, fusing the
+    /// `A`-apply into the update row by row:
+    /// `dᵢ ← dd·dᵢ + dr·(qᵢ − (A·z_old)ᵢ)`, `z_newᵢ = z_oldᵢ + dᵢ`.
     pub fn solve(&self, q: &[f64], z: &mut [f64]) {
         let n = self.a.nrows();
         assert_eq!(q.len(), n, "chebyshev: rhs length");
         assert_eq!(z.len(), n, "chebyshev: output length");
         let sigma = self.theta / self.delta;
         let mut rho = 1.0 / sigma;
+        // (dd, dr) of steps 2..=degree: the scalar half of the recurrence.
+        let coeffs: Vec<(f64, f64)> = (2..=self.degree)
+            .map(|_| {
+                let rho_new = 1.0 / (2.0 * sigma - rho);
+                let c = (rho_new * rho, 2.0 * rho_new / self.delta);
+                rho = rho_new;
+                c
+            })
+            .collect();
+        let phases = coeffs.len();
         // k = 1: z₁ = d₁ = q/θ (x₀ = 0 ⇒ r₀ = q).
         let mut d: Vec<f64> = q.iter().map(|&v| v / self.theta).collect();
-        z.copy_from_slice(&d);
-        let mut az = vec![0.0; n];
-        for _ in 2..=self.degree {
-            // r = q − A z.
-            self.a.par_spmv(z, &mut az);
-            let rho_new = 1.0 / (2.0 * sigma - rho);
-            let dd = rho_new * rho;
-            let dr = 2.0 * rho_new / self.delta;
-            for i in 0..n {
-                d[i] = dd * d[i] + dr * (q[i] - az[i]);
-                z[i] += d[i];
-            }
-            rho = rho_new;
+        // Phase `p` writes buffer `(phases − 1 − p) % 2` (0 is `z`, 1 is
+        // `w`) from the other one, so the last phase writes `z` and z₁
+        // starts in buffer `phases % 2`.
+        let mut w = d.clone();
+        if phases % 2 == 0 {
+            z.copy_from_slice(&d);
         }
+        let bufs = ZBuffers { ptrs: [z.as_mut_ptr(), w.as_mut_ptr()], len: n };
+        let step = |p: usize, b: usize, d: &mut [f64]| {
+            let (dd, dr) = coeffs[p];
+            let lo = b * sdc_dense::BLOCK;
+            // SAFETY: the team hands chunk `b` of phase `p` to this thread
+            // alone, so only it touches rows `lo..lo + d.len()` of the
+            // written buffer, and every phase-`p` chunk writes that same
+            // buffer, never the one read here.
+            let (old, new) = unsafe { bufs.phase((phases - 1 - p) % 2, lo, d.len()) };
+            self.a.for_each_row_dot(lo..lo + d.len(), old, |r, az| {
+                let i = r - lo;
+                d[i] = dd * d[i] + dr * (q[r] - az);
+                new[i] = old[r] + d[i];
+            });
+        };
+        sdc_dense::team(&mut d, &step, |team| (0..phases).for_each(|_| team.run()));
+    }
+}
+
+/// The two `z` buffers of a [`ChebyshevPrecond::solve`] team, shared as
+/// raw pointers: in every phase each participant reads all of one buffer
+/// and writes only its own chunk of the other.
+struct ZBuffers {
+    ptrs: [*mut f64; 2],
+    len: usize,
+}
+
+// SAFETY: `ptrs` point at two live, disjoint `len`-long `f64` buffers
+// that `solve` borrows mutably for longer than its team region, which
+// joins every helper before it returns. They are only dereferenced
+// through `ZBuffers::phase`, whose contract keeps one phase's reads and
+// writes on different buffers and each written chunk with one thread;
+// the team's phase hand-off (Release/Acquire) orders the phases. `len`
+// is never written.
+unsafe impl Sync for ZBuffers {}
+
+impl ZBuffers {
+    /// The whole buffer `1 − dst` to read and chunk `lo..lo + len` of
+    /// buffer `dst` to write.
+    ///
+    /// # Safety
+    /// For the duration of the borrows, no one else may access that chunk
+    /// of `dst` and no one may write buffer `1 − dst`.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn phase(&self, dst: usize, lo: usize, len: usize) -> (&[f64], &mut [f64]) {
+        assert!(lo + len <= self.len && dst < 2, "chebyshev: chunk out of range");
+        // SAFETY: both pointers are valid for `self.len` elements (see the
+        // `Sync` impl) and the assert keeps the chunk inside its buffer.
+        (
+            std::slice::from_raw_parts(self.ptrs[1 - dst], self.len),
+            std::slice::from_raw_parts_mut(self.ptrs[dst].add(lo), len),
+        )
     }
 }
 
@@ -332,8 +395,8 @@ impl BuiltPrecond {
     }
 
     /// Computes `z = M⁻¹ q`. Every variant is element-wise, sequential
-    /// triangular sweeps, or `par_spmv`-based — all bitwise
-    /// thread-count-independent.
+    /// triangular sweeps, or a thread team writing each row from one
+    /// thread — all bitwise thread-count-independent.
     pub fn solve(&self, q: &[f64], z: &mut [f64]) {
         match self {
             BuiltPrecond::None => z.copy_from_slice(q),

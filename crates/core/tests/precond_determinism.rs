@@ -3,12 +3,17 @@
 //! The campaign engine's reproducibility contract extends through the
 //! preconditioners: a Jacobi/ILU(0)/Chebyshev apply, and every solver
 //! wrapped around one, must produce identical bits at any worker count.
-//! (ILU(0) triangular solves are inherently sequential; Jacobi and
-//! Chebyshev lean on the deterministic-reduction SpMV/axpy kernels.)
+//! ILU(0) triangular solves are sequential and Jacobi is element-wise.
+//! Chebyshev runs one thread team over the [`sdc_parallel::BLOCK`]
+//! chunks of its vectors, with each row's `A`-apply fused into the
+//! recurrence update. Below [`sdc_parallel::TEAM_MIN`] rows, as in the
+//! Poisson 24² solves, the team is a plain loop; the split path is pinned
+//! against the unfused recurrence on Poisson 130² and 181².
 
 use sdc_gmres::ftgmres::{ftgmres_solve_precond, FtGmresConfig};
 use sdc_gmres::gmres::{gmres_solve_right_precond, GmresConfig};
-use sdc_gmres::precond::{BuiltPrecond, PrecondKind};
+use sdc_gmres::precond::{BuiltPrecond, ChebyshevPrecond, PrecondKind};
+use sdc_sparse::norm_est::norm2_est;
 use sdc_sparse::{gallery, CsrMatrix};
 
 fn problem() -> (CsrMatrix, Vec<f64>) {
@@ -81,6 +86,80 @@ fn preconditioned_solves_are_bitwise_thread_independent() {
             ft_ref.iter().zip(&ft4).all(|(p, q)| p.to_bits() == q.to_bits()),
             "{kind} ftgmres solution differs between 1 and 4 threads"
         );
+    }
+    sdc_parallel::set_threads(0);
+}
+
+/// `ChebyshevPrecond`'s interval `(θ, δ)` for `a`: center and half-width
+/// of `[λ_max/30, λ_max]`, `λ_max` a boosted power-iteration estimate.
+fn chebyshev_interval(a: &CsrMatrix) -> (f64, f64) {
+    let lmax = (norm2_est(a, 30, 1e-10).value * 1.1).max(1e-300);
+    let lmin = lmax / 30.0;
+    ((lmax + lmin) / 2.0, (lmax - lmin) / 2.0)
+}
+
+/// Reference Chebyshev apply: a whole-vector `par_spmv` per step, then a
+/// serial update loop.
+fn unfused_chebyshev(
+    a: &CsrMatrix,
+    (theta, delta): (f64, f64),
+    degree: usize,
+    q: &[f64],
+) -> Vec<f64> {
+    let n = a.nrows();
+    let sigma = theta / delta;
+    let mut rho = 1.0 / sigma;
+    let mut d: Vec<f64> = q.iter().map(|&v| v / theta).collect();
+    let mut z = d.clone();
+    let mut az = vec![0.0; n];
+    for _ in 2..=degree {
+        a.par_spmv(&z, &mut az);
+        let rho_new = 1.0 / (2.0 * sigma - rho);
+        let dd = rho_new * rho;
+        let dr = 2.0 * rho_new / delta;
+        for i in 0..n {
+            d[i] = dd * d[i] + dr * (q[i] - az[i]);
+            z[i] += d[i];
+        }
+        rho = rho_new;
+    }
+    z
+}
+
+#[test]
+fn chebyshev_team_apply_matches_the_unfused_recurrence_bitwise() {
+    let _guard = sdc_parallel::test_serial_guard();
+    // 130² = 16,900 is the smallest Poisson grid past TEAM_MIN; 181²
+    // ends on a ragged chunk.
+    for m in [130, 181] {
+        let a = gallery::poisson2d(m);
+        let n = a.nrows();
+        let interval = chebyshev_interval(&a);
+        assert!(n >= sdc_parallel::TEAM_MIN, "poisson2d({m}) must split");
+        let clean: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).sin() + 0.1).collect();
+        let mut poisoned = clean.clone();
+        poisoned[7] = f64::NAN;
+        poisoned[n / 2] = f64::INFINITY;
+        poisoned[n - 3] = f64::NEG_INFINITY;
+        for degree in [1, 2, 3, 10] {
+            let pc = ChebyshevPrecond::new(&a, degree);
+            for q in [&clean, &poisoned] {
+                sdc_parallel::set_threads(1);
+                let reference = unfused_chebyshev(&a, interval, degree, q);
+                for t in [1usize, 2, 8] {
+                    sdc_parallel::set_threads(t);
+                    let mut z = vec![f64::NAN; n];
+                    pc.solve(q, &mut z);
+                    for i in 0..n {
+                        assert_eq!(
+                            z[i].to_bits(),
+                            reference[i].to_bits(),
+                            "poisson2d({m}) degree {degree}, row {i} at {t} threads"
+                        );
+                    }
+                }
+            }
+        }
     }
     sdc_parallel::set_threads(0);
 }

@@ -144,6 +144,34 @@ impl CsrMatrix {
         });
     }
 
+    /// Calls `f(r, (A·x)_r)` for each row `r` of `rows` in order, each
+    /// product summed exactly as [`CsrMatrix::spmv`] sums it: left to
+    /// right from `0.0`. For kernels that fuse more work into the row loop.
+    pub fn for_each_row_dot(
+        &self,
+        rows: std::ops::Range<usize>,
+        x: &[f64],
+        mut f: impl FnMut(usize, f64),
+    ) {
+        assert_eq!(x.len(), self.ncols, "for_each_row_dot: x length");
+        let ptr = &self.row_ptr[rows.start..=rows.end];
+        let span = ptr[0]..ptr[ptr.len() - 1];
+        let (mut cols, mut vals) = (&self.col_idx[span.clone()], &self.values[span]);
+        for (r, w) in rows.zip(ptr.windows(2)) {
+            let (c, c_rest) = cols.split_at(w[1] - w[0]);
+            let (v, v_rest) = vals.split_at(w[1] - w[0]);
+            (cols, vals) = (c_rest, v_rest);
+            let mut acc = 0.0;
+            for (c, v) in c.iter().zip(v) {
+                // SAFETY: `from_raw`, the only constructor, checked every
+                // column index against `ncols`, which is `x.len()`
+                // (asserted above); `col_idx` is never mutated after.
+                acc += v * unsafe { x.get_unchecked(*c) };
+            }
+            f(r, acc);
+        }
+    }
+
     #[inline]
     fn row_dot(&self, r: usize, x: &[f64]) -> f64 {
         let (cols, vals) = self.row(r);
@@ -381,6 +409,14 @@ mod tests {
         a.par_spmv(&x, &mut y2);
         for i in 0..n {
             assert_eq!(y1[i].to_bits(), y2[i].to_bits(), "row {i}");
+        }
+        for rows in [0..n, 7..7, 3..1500] {
+            let mut seen = rows.start;
+            a.for_each_row_dot(rows.clone(), &x, |r, v| {
+                assert_eq!((r, v.to_bits()), (seen, y1[r].to_bits()), "{rows:?}");
+                seen += 1;
+            });
+            assert_eq!(seen, rows.end);
         }
     }
 
