@@ -195,6 +195,13 @@ impl ChebyshevPrecond {
         self.degree
     }
 
+    /// The interval the polynomial targets, as `(θ, δ)`: center and
+    /// half-width of `[λ_min, λ_max]`, with `λ_max` the boosted
+    /// power-iteration estimate and `λ_min` a fixed fraction of it.
+    pub fn interval(&self) -> (f64, f64) {
+        (self.theta, self.delta)
+    }
+
     /// Computes `z = p(A)·q` (the stateless core of
     /// [`Preconditioner::apply`]).
     ///

@@ -13,7 +13,6 @@
 use sdc_gmres::ftgmres::{ftgmres_solve_precond, FtGmresConfig};
 use sdc_gmres::gmres::{gmres_solve_right_precond, GmresConfig};
 use sdc_gmres::precond::{BuiltPrecond, ChebyshevPrecond, PrecondKind};
-use sdc_sparse::norm_est::norm2_est;
 use sdc_sparse::{gallery, CsrMatrix};
 
 fn problem() -> (CsrMatrix, Vec<f64>) {
@@ -90,14 +89,6 @@ fn preconditioned_solves_are_bitwise_thread_independent() {
     sdc_parallel::set_threads(0);
 }
 
-/// `ChebyshevPrecond`'s interval `(θ, δ)` for `a`: center and half-width
-/// of `[λ_max/30, λ_max]`, `λ_max` a boosted power-iteration estimate.
-fn chebyshev_interval(a: &CsrMatrix) -> (f64, f64) {
-    let lmax = (norm2_est(a, 30, 1e-10).value * 1.1).max(1e-300);
-    let lmin = lmax / 30.0;
-    ((lmax + lmin) / 2.0, (lmax - lmin) / 2.0)
-}
-
 /// Reference Chebyshev apply: a whole-vector `par_spmv` per step, then a
 /// serial update loop.
 fn unfused_chebyshev(
@@ -134,7 +125,6 @@ fn chebyshev_team_apply_matches_the_unfused_recurrence_bitwise() {
     for m in [130, 181] {
         let a = gallery::poisson2d(m);
         let n = a.nrows();
-        let interval = chebyshev_interval(&a);
         assert!(n >= sdc_parallel::TEAM_MIN, "poisson2d({m}) must split");
         let clean: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).sin() + 0.1).collect();
         let mut poisoned = clean.clone();
@@ -145,7 +135,7 @@ fn chebyshev_team_apply_matches_the_unfused_recurrence_bitwise() {
             let pc = ChebyshevPrecond::new(&a, degree);
             for q in [&clean, &poisoned] {
                 sdc_parallel::set_threads(1);
-                let reference = unfused_chebyshev(&a, interval, degree, q);
+                let reference = unfused_chebyshev(&a, pc.interval(), degree, q);
                 for t in [1usize, 2, 8] {
                     sdc_parallel::set_threads(t);
                     let mut z = vec![f64::NAN; n];
