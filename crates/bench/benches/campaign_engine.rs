@@ -1,9 +1,9 @@
 //! Criterion benchmark for the campaign engine's scheduling overhead:
 //! the same small Poisson sweep through (a) the raw `run_sweep` path
 //! (in-memory, no persistence) and (b) the full executor (spec
-//! expansion, sharding, JSONL streaming, flush-per-shard). The delta is
-//! what the artifact layer costs — it should be noise next to the
-//! solves themselves.
+//! expansion, sharding, JSONL streaming, flush-per-shard, and experiments
+//! forked from the baseline solve instead of solved from scratch). The
+//! delta is what the artifact layer costs less what forking saves.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sdc_campaigns::{CampaignSpec, GridBlock, ProblemSpec, RunOptions};

@@ -71,6 +71,11 @@ fn run_or_resume(resume: bool) {
                 s.remaining_units,
                 out.display()
             );
+            println!(
+                "forked from the clean solves: {} of {} outer iterations skipped \
+                 (inner solves reused), snapshot {} bytes",
+                s.outer_skipped, s.outer_iterations, s.snapshot_bytes
+            );
             if !s.is_complete() {
                 println!(
                     "(incomplete; continue with: campaign resume --spec {} --out {})",

@@ -19,6 +19,18 @@
 //!    canonical sequence, truncated after the last record that matches
 //!    it, and execution continues from the first missing unit. Baselines
 //!    already in the artifact are *reused, not re-solved*.
+//! 4. Experiments do not re-solve the fault-free prefix. The baseline
+//!    solve of each (problem, lsq) key is kept as a [`CleanFtGmres`] —
+//!    the inner results `z_j` of its clean outer iterations plus the
+//!    largest inner `|h|` per inner solve — and each unit forks from it
+//!    at the outer iteration whose inner solve holds the fault (earlier
+//!    when the scenario's detector would have fired on the clean run):
+//!    the outer steps before it take their `z_j` from the record
+//!    instead of running an inner solve. The fork's result is bitwise
+//!    the from-scratch one, so the artifact does not depend on it.
+//!    Traced units (`trace_out`) run from scratch, because a fork emits
+//!    no inner det events for its prefix. The snapshots are dropped
+//!    when [`run`] returns.
 //!
 //! Every unit carries a stable seed derived from the spec seed and the
 //! unit index (SplitMix64), recorded in its artifact line. The paper's
@@ -29,9 +41,10 @@
 use crate::artifact::{self, ArtifactError, Record};
 use crate::problems::Problem;
 use crate::spec::{CampaignSpec, LsqSpec, Scenario};
-use crate::sweep::{failure_free, run_experiment};
+use crate::sweep::{clean_run, fork_boundary, run_experiment};
 use rayon::prelude::*;
 use sdc_faults::campaign::CampaignPoint;
+use sdc_gmres::ftgmres::CleanFtGmres;
 use sdc_gmres::prelude::FtGmresConfig;
 use std::collections::HashMap;
 use std::fmt;
@@ -99,6 +112,15 @@ pub struct RunSummary {
     /// Units still missing (nonzero only when `max_units` stopped the
     /// run early).
     pub remaining_units: usize,
+    /// Bytes of clean-solve state held for forking (all baselines
+    /// together; 0 when nothing was forked).
+    pub snapshot_bytes: usize,
+    /// Outer iterations the units of this invocation took, in total.
+    pub outer_iterations: usize,
+    /// Of those, the ones forking skipped: the clean prefixes whose
+    /// inner solves the units took from the baseline instead of running
+    /// (only the reliable outer step of each is replayed).
+    pub outer_skipped: usize,
 }
 
 impl RunSummary {
@@ -192,9 +214,13 @@ struct Unit {
 /// The fully-expanded execution plan for a spec.
 struct Plan {
     scenarios: Vec<Scenario>,
+    /// Index into `baseline_keys` per scenario.
+    scenario_keys: Vec<usize>,
     baseline_keys: Vec<(usize, LsqSpec)>,
     /// Baseline outer iterations per baseline key (same order).
     baseline_outers: Vec<usize>,
+    /// The clean solve per baseline key, for the keys solved here.
+    cleans: Vec<Option<CleanFtGmres>>,
     units: Vec<Unit>,
 }
 
@@ -227,9 +253,11 @@ fn expand(
 ) -> Result<Plan, RunError> {
     let baseline_keys = spec.baseline_keys();
     let mut baseline_outers = Vec::with_capacity(baseline_keys.len());
+    let mut cleans = Vec::with_capacity(baseline_keys.len());
     for &(pidx, lsq) in &baseline_keys {
         if let Some(&outer) = known_baselines.get(&(pidx, lsq)) {
             baseline_outers.push(outer);
+            cleans.push(None);
             continue;
         }
         let problem = problems.get(pidx);
@@ -240,27 +268,28 @@ fn expand(
                 lsq.label()
             );
         }
-        let cfg = spec.baseline_config(lsq);
-        let rep = failure_free(problem, &cfg);
+        let (rep, clean) = clean_run(problem, &spec.baseline_config(lsq));
         if !rep.outcome.is_converged() {
             return Err(RunError::BaselineDiverged { problem: pidx, iterations: rep.iterations });
         }
         baseline_outers.push(rep.iterations);
+        cleans.push(Some(clean));
     }
 
     let scenarios = spec.scenarios();
+    let mut scenario_keys = Vec::with_capacity(scenarios.len());
     let mut units = Vec::new();
     for (scenario_idx, s) in scenarios.iter().enumerate() {
         let key_pos = baseline_keys
             .iter()
             .position(|&(p, l)| p == s.problem && l == s.lsq)
             .expect("every scenario has a baseline key");
-        let ff_outer = baseline_outers[key_pos];
-        for aggregate in spec.unit_domain(ff_outer) {
+        scenario_keys.push(key_pos);
+        for aggregate in spec.unit_domain(baseline_outers[key_pos]) {
             units.push(Unit { index: units.len(), scenario_idx, aggregate });
         }
     }
-    Ok(Plan { scenarios, baseline_keys, baseline_outers, units })
+    Ok(Plan { scenarios, scenario_keys, baseline_keys, baseline_outers, cleans, units })
 }
 
 /// Validates an existing artifact's records against the canonical
@@ -398,7 +427,7 @@ pub fn run(
     // Problems are built on first use — expand() only touches the ones
     // whose baselines are not already stored in the artifact.
     let problems = ProblemCache::new(spec);
-    let plan = expand(spec, &problems, &known_baselines, opts.quiet)?;
+    let mut plan = expand(spec, &problems, &known_baselines, opts.quiet)?;
 
     let n_preamble = 1 + spec.problems.len() + plan.baseline_keys.len();
     let completed_units = matched.saturating_sub(n_preamble);
@@ -463,6 +492,23 @@ pub fn run(
     let budget = opts.max_units.unwrap_or(usize::MAX);
     let mut ran = 0usize;
     let traced = opts.trace_out.is_some();
+    // The clean solves units fork from. Traced units run from scratch and
+    // need none; a resume re-solves the baselines it read from the
+    // artifact only if untraced units still need them.
+    if traced {
+        plan.cleans.iter_mut().for_each(|c| *c = None);
+    } else {
+        for u in todo {
+            let key = plan.scenario_keys[u.scenario_idx];
+            if plan.cleans[key].is_none() {
+                let (pidx, lsq) = plan.baseline_keys[key];
+                plan.cleans[key] =
+                    Some(clean_run(problems.get(pidx), &spec.baseline_config(lsq)).1);
+            }
+        }
+    }
+    let snapshot_bytes = plan.cleans.iter().flatten().map(CleanFtGmres::bytes).sum();
+    let (mut outer_iterations, mut outer_skipped) = (0usize, 0usize);
     let mut trace_file = match &opts.trace_out {
         Some(p) => Some(std::io::BufWriter::new(std::fs::File::create(p)?)),
         None => None,
@@ -480,7 +526,7 @@ pub fn run(
                 plan.units.len()
             );
         }
-        let records: Vec<(Record, Option<String>)> = shard
+        let records: Vec<(Record, Option<String>, usize)> = shard
             .par_iter()
             .map(|u| {
                 let s = plan.scenarios[u.scenario_idx];
@@ -491,14 +537,11 @@ pub fn run(
                     position: s.position,
                 };
                 let p = problems.get(s.problem);
+                let ft = &ft_configs[u.scenario_idx];
+                let clean = plan.cleans[plan.scenario_keys[u.scenario_idx]].as_ref();
                 let solve = || {
-                    run_experiment(
-                        p,
-                        &ft_configs[u.scenario_idx],
-                        point,
-                        spec.format,
-                        p.precond(spec.precond).expect("validated at plan time"),
-                    )
+                    let pc = p.precond(spec.precond).expect("validated at plan time");
+                    run_experiment(p, ft, point, spec.format, pc, clean)
                 };
                 // Per-unit capture on the claiming thread: the solve
                 // orchestration (and thus every Det event) runs here, so
@@ -516,10 +559,14 @@ pub fn run(
                     seed: unit_seed(spec.seed, u.index as u64),
                     point: measured,
                 };
-                (rec, trace)
+                (rec, trace, clean.map_or(0, |c| fork_boundary(c, ft, point) - 1))
             })
             .collect();
-        for (rec, trace) in &records {
+        for (rec, trace, skipped) in &records {
+            if let Record::Experiment { point, .. } = rec {
+                outer_iterations += point.outer_iterations;
+            }
+            outer_skipped += skipped;
             artifact::append(&mut out, rec)?;
             if let Some(hook) = &opts.on_record {
                 hook(rec);
@@ -547,13 +594,18 @@ pub fn run(
         skipped_units: completed_units.min(plan.units.len()),
         ran_units: ran,
         remaining_units: plan.units.len() - completed_units.min(plan.units.len()) - ran,
+        snapshot_bytes,
+        outer_iterations,
+        outer_skipped,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{CampaignSpec, GridBlock, ProblemSpec};
+    use crate::spec::{CampaignSpec, ProblemSpec};
+    use crate::sweep::SweepPoint;
+    use sdc_gmres::prelude::PrecondKind;
 
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec {
@@ -750,37 +802,116 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn executor_matches_raw_sweep() {
-        // The artifact path and the library run_sweep path must agree
-        // experiment for experiment.
+    /// Runs `spec` and checks every experiment record against the
+    /// from-scratch `run_sweep` point, field for field.
+    fn assert_matches_raw_sweep(spec: &CampaignSpec, tag: &str) -> RunSummary {
         use crate::sweep::{failure_free, run_sweep};
-        let spec = CampaignSpec { blocks: vec![GridBlock::undetected_full()], ..tiny_spec() };
-        let path = tmp("parity");
+        let path = tmp(tag);
         std::fs::remove_file(&path).ok();
-        run(&spec, &path, false, &RunOptions { quiet: true, ..Default::default() }).unwrap();
+        let quiet = RunOptions { quiet: true, ..Default::default() };
+        let summary = run(spec, &path, false, &quiet).unwrap();
         let scan = artifact::scan(&path).unwrap();
+        std::fs::remove_file(&path).ok();
 
         let p = spec.problems[0].build();
-        let s0 = spec.scenarios()[0];
-        let cfg = spec.campaign_config(&s0);
-        let ff = failure_free(&p, &cfg);
-        let reference = run_sweep(&p, &cfg, s0.class, s0.position, ff.iterations);
+        for s in spec.scenarios() {
+            let ff = failure_free(&p, &spec.baseline_config(s.lsq));
+            let cfg = spec.campaign_config(&s);
+            let reference = run_sweep(&p, &cfg, s.class, s.position, ff.iterations);
+            let artifact_points: Vec<SweepPoint> = scan
+                .records
+                .iter()
+                .filter_map(|rec| match rec {
+                    Record::Experiment { scenario, point, .. } if *scenario == s => Some(*point),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(artifact_points.len(), reference.points.len(), "{s:?}");
+            for (a, b) in artifact_points.iter().zip(&reference.points) {
+                assert_eq!(a, b, "{s:?}");
+                assert_eq!(a.true_rel_residual.to_bits(), b.true_rel_residual.to_bits(), "{s:?}");
+            }
+        }
+        summary
+    }
 
-        let mut artifact_points = Vec::new();
-        for rec in &scan.records {
-            if let Record::Experiment { scenario, point, .. } = rec {
-                if *scenario == s0 {
-                    artifact_points.push(*point);
+    #[test]
+    fn executor_matches_raw_sweep() {
+        // The forked artifact path and the from-scratch run_sweep path
+        // must agree experiment for experiment, in every scenario
+        // (undetected and restart_inner).
+        let summary = assert_matches_raw_sweep(&tiny_spec(), "parity");
+        assert!(summary.outer_skipped > 0, "nothing was forked: {summary:?}");
+        assert!(summary.snapshot_bytes > 0, "{summary:?}");
+    }
+
+    #[test]
+    fn preconditioned_executor_matches_raw_sweep() {
+        let spec = CampaignSpec { inner_iters: 3, precond: PrecondKind::Chebyshev, ..tiny_spec() };
+        let summary = assert_matches_raw_sweep(&spec, "parity_cheb");
+        assert!(summary.outer_skipped > 0, "nothing was forked: {summary:?}");
+    }
+
+    #[test]
+    fn traced_units_run_from_scratch() {
+        let path = tmp("traced_scratch");
+        let trace = tmp("traced_scratch_det");
+        std::fs::remove_file(&path).ok();
+        let opts = RunOptions { quiet: true, trace_out: Some(trace.clone()), ..Default::default() };
+        let summary = run(&tiny_spec(), &path, false, &opts).unwrap();
+        assert_eq!((summary.outer_skipped, summary.snapshot_bytes), (0, 0));
+        assert!(summary.outer_iterations > 0);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&trace).ok();
+    }
+
+    #[test]
+    fn detector_that_fires_on_the_clean_run_bounds_the_fork() {
+        // A detector bound below the clean run's |h| in inner solve k+1
+        // (and above it in 1..=k) makes that inner solve differ from the
+        // clean one: units fork no later than outer k+1, and a bound
+        // below inner solve 1 sends every unit back to from scratch.
+        // Either way the points equal the from-scratch ones.
+        use crate::sweep::{clean_run, fork_boundary};
+        use sdc_gmres::prelude::{DetectorResponse, SdcDetector};
+        let spec = tiny_spec();
+        let p = spec.problems[0].build();
+        let cfg = spec.baseline_config(LsqSpec::Standard);
+        let (ff, clean) = clean_run(&p, &cfg);
+        let maxima = clean.inner_max_abs_h();
+        assert_eq!(maxima.len(), ff.iterations);
+        // k: the first inner solve (0-based, k ≥ 1) whose max exceeds
+        // every earlier one.
+        let k = (1..maxima.len())
+            .find(|&k| maxima[..k].iter().all(|&m| m < maxima[k]))
+            .expect("Poisson's |h| grows past its first inner solve");
+        let below_first = maxima[0] / 2.0;
+        let below_k = maxima[..k].iter().copied().fold(0.0, f64::max);
+        let pc = cfg.precond(&p);
+        for (bound, last_fork) in [(below_first, 1), (below_k, k + 1)] {
+            for response in [DetectorResponse::Record, DetectorResponse::RestartInner] {
+                let ft = FtGmresConfig {
+                    inner_detector: Some(SdcDetector { bound, response }),
+                    ..cfg.ft_config(&p.a)
+                };
+                for aggregate in spec.unit_domain(ff.iterations) {
+                    let point = CampaignPoint {
+                        aggregate_iteration: aggregate,
+                        inner_per_outer: spec.inner_iters,
+                        class: sdc_faults::FaultClass::Slight,
+                        position: sdc_faults::MgsPosition::First,
+                    };
+                    let o = fork_boundary(&clean, &ft, point);
+                    assert_eq!(o, point.inner_solve().min(last_fork), "aggregate {aggregate}");
+                    let forked = run_experiment(&p, &ft, point, spec.format, pc, Some(&clean));
+                    let scratch = run_experiment(&p, &ft, point, spec.format, pc, None);
+                    assert_eq!(forked, scratch, "bound {bound} {response:?} @{aggregate}");
+                    assert_eq!(
+                        forked.true_rel_residual.to_bits(),
+                        scratch.true_rel_residual.to_bits()
+                    );
                 }
             }
         }
-        assert_eq!(artifact_points.len(), reference.points.len());
-        for (a, b) in artifact_points.iter().zip(reference.points.iter()) {
-            assert_eq!(a.aggregate, b.aggregate);
-            assert_eq!(a.outer_iterations, b.outer_iterations);
-            assert_eq!(a.true_rel_residual.to_bits(), b.true_rel_residual.to_bits());
-        }
-        std::fs::remove_file(&path).ok();
     }
 }

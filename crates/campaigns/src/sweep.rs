@@ -1,20 +1,26 @@
 //! The single-SDC sweep driver (§VII-B).
 //!
-//! For each experiment the solver re-solves the same system (same matrix,
-//! right-hand side and initial guess) with a single fault injected at one
-//! (aggregate inner iteration, MGS position, fault class) coordinate. The
+//! Each experiment solves the same system (same matrix, right-hand side
+//! and initial guess) with a single fault injected at one (aggregate
+//! inner iteration, MGS position, fault class) coordinate. The
 //! experiments are mutually independent, so the sweep runs them in
-//! parallel on the sdc_parallel pool — each experiment's kernels are deterministic, so
-//! the sweep's output is identical however it is scheduled.
+//! parallel on the sdc_parallel pool — each experiment's kernels are
+//! deterministic, so the sweep's output is identical however it is
+//! scheduled.
 //!
 //! This module is the *raw* path: one (class, position) series, no
-//! persistence. The [`crate::executor`] runs the same experiments unit by
-//! unit behind an artifact file; [`crate::report`] reconstructs
-//! [`SweepResult`] values from that artifact without re-solving.
+//! persistence, every experiment solved from `x₀` — the reference the
+//! executor is tested against. The [`crate::executor`] runs the same
+//! experiments unit by unit behind an artifact file, forking each one
+//! from the clean solve's state at the outer iteration that holds its
+//! fault ([`clean_run`], [`run_experiment`]); [`crate::report`]
+//! reconstructs [`SweepResult`] values from that artifact without
+//! re-solving.
 
 use crate::problems::Problem;
 use rayon::prelude::*;
 use sdc_faults::campaign::{CampaignPoint, FaultClass, MgsPosition};
+use sdc_gmres::ftgmres::{ftgmres_capture, ftgmres_fork, ftgmres_solve_precond, CleanFtGmres};
 use sdc_gmres::prelude::*;
 
 /// Sweep configuration (mirrors the paper's experimental setup).
@@ -165,12 +171,16 @@ impl SweepResult {
 
 /// Runs the failure-free baseline and returns its report.
 pub fn failure_free(p: &Problem, cfg: &CampaignConfig) -> SolveReport {
+    clean_run(p, cfg).0
+}
+
+/// Runs the failure-free baseline, keeping the state experiments fork
+/// from (see [`run_experiment`]).
+pub fn clean_run(p: &Problem, cfg: &CampaignConfig) -> (SolveReport, CleanFtGmres) {
     let pc = cfg.precond(p);
     let ft = cfg.ft_config_with(&p.a, pc);
-    let op = p.operator(cfg.format);
-    let (_, rep) =
-        sdc_gmres::ftgmres::ftgmres_solve_precond(op, &p.b, None, &ft, pc, &sdc_faults::NoFaults);
-    rep
+    let (_, rep, clean) = ftgmres_capture(p.operator(cfg.format), &p.b, None, &ft, pc);
+    (rep, clean)
 }
 
 /// Runs one full sweep series: a single SDC of `class` at `position`,
@@ -196,7 +206,7 @@ pub fn run_sweep(
                 class,
                 position,
             };
-            run_experiment(p, &ft, point, cfg.format, pc)
+            run_experiment(p, &ft, point, cfg.format, pc, None)
         })
         .collect();
     SweepResult { class, position, failure_free_outer, points }
@@ -204,9 +214,13 @@ pub fn run_sweep(
 
 /// Runs exactly one experiment: one solve with one SDC coordinate armed.
 ///
-/// Both [`run_sweep`] and the campaign executor go through this function,
-/// so a sweep point and the corresponding artifact record are guaranteed
-/// to be the same computation. `format` picks the SpMV engine; results
+/// With `clean = None` the solve starts from `x₀` ([`run_sweep`]). With
+/// the clean solve of the same configuration up to the detector
+/// ([`clean_run`]) it starts at [`fork_boundary`]: the injector cannot
+/// fire before inner solve `point.inner_solve()`, so the prefix it skips
+/// is the clean one. Both paths give the same [`SweepPoint`] bit for
+/// bit — not because they share code but because the executor-parity
+/// and solver-bits tests say so. `format` picks the SpMV engine; results
 /// are bitwise independent of it.
 pub fn run_experiment(
     p: &Problem,
@@ -214,10 +228,14 @@ pub fn run_experiment(
     point: CampaignPoint,
     format: sdc_sparse::SparseFormat,
     precond: &BuiltPrecond,
+    clean: Option<&CleanFtGmres>,
 ) -> SweepPoint {
     let inj = point.injector();
     let op = p.operator(format);
-    let (x, rep) = sdc_gmres::ftgmres::ftgmres_solve_precond(op, &p.b, None, ft, precond, &inj);
+    let (x, rep) = match clean {
+        Some(c) => ftgmres_fork(op, &p.b, ft, precond, &inj, c, fork_boundary(c, ft, point)),
+        None => ftgmres_solve_precond(op, &p.b, None, ft, precond, &inj),
+    };
     let mut r = vec![0.0; p.b.len()];
     sdc_gmres::operator::residual(&p.a, &p.b, &x, &mut r);
     let true_rel = sdc_dense::vector::nrm2(&r) / sdc_dense::vector::nrm2(&p.b).max(1e-300);
@@ -230,6 +248,13 @@ pub fn run_experiment(
         restarts: rep.detector_restarts,
         true_rel_residual: true_rel,
     }
+}
+
+/// The outer boundary [`run_experiment`] forks `point` at: the outer
+/// iteration whose inner solve holds the fault, or earlier if `ft`'s
+/// detector would have fired on the clean run before it.
+pub fn fork_boundary(clean: &CleanFtGmres, ft: &FtGmresConfig, point: CampaignPoint) -> usize {
+    clean.fork_boundary(point.inner_solve(), ft.inner_detector.as_ref())
 }
 
 #[cfg(test)]

@@ -49,7 +49,7 @@ pub struct Violation {
 }
 
 /// The Hessenberg-entry bound detector.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SdcDetector {
     /// The bound on `|h_ij|`: `‖A‖_F` (always safe) or a trusted
     /// estimate of `‖A‖₂` (tighter).

@@ -102,7 +102,7 @@ impl<P: Preconditioner> FlexiblePreconditioner for FixedPrecond<P> {
 
 /// FGMRES configuration. The outer iteration always orthogonalizes
 /// reliably with MGS.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FgmresConfig {
     /// Relative residual target.
     pub tol: f64,
@@ -126,6 +126,68 @@ impl Default for FgmresConfig {
     }
 }
 
+/// The clean head of a finished FGMRES run, from which solves of the
+/// same system resume at an outer boundary instead of from `x₀`.
+///
+/// It keeps the inner results `z₁ … z_c` (and their inner iteration
+/// counts) of the run's first `c` *crossed* outer iterations: those that
+/// needed no outer restart, no inner rejection, had no detector event,
+/// restart or committed fault in their inner solve, and did not end the
+/// cycle (breakdown or convergence test). A resumed solve replays the
+/// reliable outer steps of iterations `1 … o−1` from them — one `A·z`,
+/// one short MGS and one Givens rotation each, so `V`, `H`, its QR and
+/// the residual history come out with the recorded run's bits — and
+/// solves from outer iteration `o` on.
+#[derive(Clone, Debug, Default)]
+pub struct FgmresPrefix {
+    /// The initial guess the run started from (`None`: zeros).
+    x0: Option<Vec<f64>>,
+    /// `z₁ … z_c`.
+    z: Vec<Vec<f64>>,
+    /// Inner iterations behind each of them.
+    inner_iterations: Vec<usize>,
+}
+
+impl FgmresPrefix {
+    /// The largest outer boundary a solve may resume at: outer
+    /// iteration `boundaries()` is the first one it solves itself.
+    pub fn boundaries(&self) -> usize {
+        self.z.len() + 1
+    }
+
+    /// Bytes held by the recorded vectors.
+    pub fn bytes(&self) -> usize {
+        let floats =
+            self.x0.as_ref().map_or(0, Vec::len) + self.z.iter().map(Vec::len).sum::<usize>();
+        8 * floats + std::mem::size_of::<usize>() * self.inner_iterations.len()
+    }
+}
+
+/// Hands back the recorded `z_j` for outer iterations before `outer`
+/// and asks `precond` from `outer` on.
+struct Replay<'p, M: ?Sized> {
+    prefix: &'p FgmresPrefix,
+    outer: usize,
+    precond: &'p mut M,
+}
+
+impl<M: FlexiblePreconditioner + ?Sized> FlexiblePreconditioner for Replay<'_, M> {
+    fn apply_flexible(&mut self, j: usize, q: &[f64], z: &mut [f64]) -> PrecondReport {
+        if j >= self.outer {
+            return self.precond.apply_flexible(j, q, z);
+        }
+        z.copy_from_slice(&self.prefix.z[j - 1]);
+        PrecondReport {
+            inner_iterations: self.prefix.inner_iterations[j - 1],
+            ..Default::default()
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.precond.name()
+    }
+}
+
 /// Solves `A x = b` by FGMRES with the given flexible preconditioner.
 pub fn fgmres_solve<A, M>(
     a: &A,
@@ -134,6 +196,68 @@ pub fn fgmres_solve<A, M>(
     cfg: &FgmresConfig,
     precond: &mut M,
 ) -> (Vec<f64>, SolveReport)
+where
+    A: LinearOperator + ?Sized,
+    M: FlexiblePreconditioner + ?Sized,
+{
+    let (x, report, _) = fgmres_run(a, b, x0, cfg, precond, false);
+    (x, report)
+}
+
+/// [`fgmres_solve`], also returning the run's [`FgmresPrefix`].
+pub fn fgmres_solve_capture<A, M>(
+    a: &A,
+    b: &[f64],
+    x0: Option<&[f64]>,
+    cfg: &FgmresConfig,
+    precond: &mut M,
+) -> (Vec<f64>, SolveReport, FgmresPrefix)
+where
+    A: LinearOperator + ?Sized,
+    M: FlexiblePreconditioner + ?Sized,
+{
+    let (x, report, prefix) = fgmres_run(a, b, x0, cfg, precond, true);
+    (x, report, prefix.expect("capture requested"))
+}
+
+/// Solves the system `prefix` was recorded on (same operator, rhs and
+/// configuration), applying `precond` only from outer iteration `outer`
+/// on (1-based; boundary 1 is a fresh start from the recorded `x₀`). The
+/// result — `x` and every [`SolveReport`] field — is bitwise the one
+/// [`fgmres_solve`] returns when `precond` behaves like the recorded
+/// run's preconditioner in outer iterations `1 … outer−1`.
+///
+/// Panics unless `1 ≤ outer ≤ prefix.boundaries()`.
+pub fn fgmres_resume<A, M>(
+    a: &A,
+    b: &[f64],
+    cfg: &FgmresConfig,
+    precond: &mut M,
+    prefix: &FgmresPrefix,
+    outer: usize,
+) -> (Vec<f64>, SolveReport)
+where
+    A: LinearOperator + ?Sized,
+    M: FlexiblePreconditioner + ?Sized,
+{
+    assert!(
+        (1..=prefix.boundaries()).contains(&outer),
+        "fgmres: resume at outer {outer} outside the recorded prefix"
+    );
+    let mut replay = Replay { prefix, outer, precond };
+    let (x, report, _) = fgmres_run(a, b, prefix.x0.as_deref(), cfg, &mut replay, false);
+    (x, report)
+}
+
+/// The one FGMRES outer loop, optionally recording its clean prefix.
+fn fgmres_run<A, M>(
+    a: &A,
+    b: &[f64],
+    x0: Option<&[f64]>,
+    cfg: &FgmresConfig,
+    precond: &mut M,
+    capture: bool,
+) -> (Vec<f64>, SolveReport, Option<FgmresPrefix>)
 where
     A: LinearOperator + ?Sized,
     M: FlexiblePreconditioner + ?Sized,
@@ -160,7 +284,7 @@ where
         report.outcome = SolveOutcome::Converged;
         report.residual_norm = 0.0;
         report.true_residual_norm = Some(0.0);
-        return (x, report);
+        return (x, report, capture.then(FgmresPrefix::default));
     }
     let target = cfg.tol * bnorm;
 
@@ -170,6 +294,8 @@ where
     let mut finished: Option<SolveOutcome> = None;
     let mut arnoldi = Arnoldi::new(n);
     let mut z_basis: Vec<Vec<f64>> = Vec::new();
+    let mut prefix =
+        capture.then(|| FgmresPrefix { x0: x0.map(<[f64]>::to_vec), ..Default::default() });
 
     'cycles: while finished.is_none() {
         residual(a, b, &x, &mut r);
@@ -298,6 +424,14 @@ where
                 finished = Some(SolveOutcome::MaxIterations);
                 break 'cycles;
             }
+
+            // Crossed: the prefix grows while every outer iteration so
+            // far ran clean in the first cycle (the counts are
+            // cumulative, so the first unclean one ends it for good).
+            if let Some(p) = prefix.as_mut().filter(|_| outer_restarts == 0 && ran_clean(&report)) {
+                p.z.push(z_basis[outer_done - 1].clone());
+                p.inner_iterations.push(preport.inner_iterations);
+            }
         }
 
         if outer_done >= cfg.max_outer && finished.is_none() {
@@ -329,7 +463,17 @@ where
             .f64("true_residual", report.true_residual_norm.unwrap_or(f64::NAN))
             .emit();
     }
-    (x, report)
+    (x, report, prefix)
+}
+
+/// True while no inner solve was rejected, detected anything or
+/// committed a fault: all a replayed outer iteration reports is its
+/// inner iteration count.
+fn ran_clean(report: &SolveReport) -> bool {
+    report.inner_rejections == 0
+        && report.detector_events.is_empty()
+        && report.detector_restarts == 0
+        && report.injections.is_empty()
 }
 
 /// Checks whether the square projected matrix `H(1:j,1:j)` has full
@@ -445,6 +589,37 @@ mod tests {
         let mut r = vec![0.0; b.len()];
         residual(&a, &b, &x, &mut r);
         assert!(vector::nrm2(&r) <= 1e-7 * vector::nrm2(&b));
+    }
+
+    #[test]
+    fn prefix_stops_at_the_first_rejected_outer_iteration() {
+        // Zero at outer iteration 3 forces the z = q retry (a
+        // rejection): the prefix keeps boundaries 1..=3, and resuming at
+        // each of them reproduces the solve from scratch bit for bit.
+        struct ZeroAtThird;
+        impl FlexiblePreconditioner for ZeroAtThird {
+            fn apply_flexible(&mut self, j: usize, q: &[f64], z: &mut [f64]) -> PrecondReport {
+                for (zi, qi) in z.iter_mut().zip(q) {
+                    *zi = if j == 3 { 0.0 } else { 0.5 * qi };
+                }
+                PrecondReport::default()
+            }
+        }
+        let a = gallery::poisson2d(9);
+        let b = b_for(&a);
+        let cfg = FgmresConfig { tol: 1e-10, max_outer: 200, ..Default::default() };
+        let (x, rep, prefix) = fgmres_solve_capture(&a, &b, None, &cfg, &mut ZeroAtThird);
+        assert_eq!(rep.inner_rejections, 1);
+        assert_eq!(prefix.boundaries(), 3);
+        let bits = |(x, rep): (Vec<f64>, SolveReport)| {
+            let x: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            format!("{x:?} {rep:?}")
+        };
+        let scratch = bits((x, rep));
+        for o in 1..=3 {
+            let resumed = fgmres_resume(&a, &b, &cfg, &mut ZeroAtThird, &prefix, o);
+            assert_eq!(bits(resumed), scratch, "outer {o}");
+        }
     }
 
     #[test]

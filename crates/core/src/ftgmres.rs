@@ -18,18 +18,22 @@
 //!   `z = q` — the cheapest correct preconditioner.
 
 use crate::detector::SdcDetector;
-use crate::fgmres::{fgmres_solve, FgmresConfig, FlexiblePreconditioner, PrecondReport};
+use crate::fgmres::{
+    fgmres_resume, fgmres_solve, fgmres_solve_capture, FgmresConfig, FgmresPrefix,
+    FlexiblePreconditioner, PrecondReport,
+};
 use crate::gmres::{gmres_solve_instrumented, GmresConfig, SiteContext};
 use crate::operator::LinearOperator;
 use crate::precond::{right_preconditioned, BuiltPrecond, FaultedPrecond};
 use crate::telemetry::{SolveOutcome, SolveReport};
+use parking_lot::Mutex;
 use sdc_dense::lstsq::LstsqPolicy;
-use sdc_faults::{FaultInjector, NoFaults};
+use sdc_faults::{FaultInjector, Kernel, NoFaults, Site};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// FT-GMRES configuration. The inner solves always orthogonalize with
 /// MGS, and the outer layer always rejects non-finite inner results.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FtGmresConfig {
     /// Outer (reliable) solver settings.
     pub outer: FgmresConfig,
@@ -198,6 +202,117 @@ pub fn ftgmres_solve_precond<A: LinearOperator + ?Sized>(
 ) -> (Vec<f64>, SolveReport) {
     let mut inner = InnerGmresPrecond::new(a, cfg, precond, injector);
     fgmres_solve(a, b, x0, &cfg.outer, &mut inner)
+}
+
+/// A clean FT-GMRES solve kept so that faulted solves of the same
+/// system can start at an outer boundary instead of from `x₀`
+/// ([`ftgmres_fork`]).
+///
+/// Besides the outer [`FgmresPrefix`] it records, per inner solve, the
+/// largest `|h|` of any orthogonalization coefficient or norm (NaN if
+/// one was NaN): a solve whose detector stays below that bound takes
+/// the same path as the clean one, because the detector only acts when
+/// it fires.
+#[derive(Clone, Debug)]
+pub struct CleanFtGmres {
+    cfg: FtGmresConfig,
+    prefix: FgmresPrefix,
+    inner_max_abs_h: Vec<f64>,
+}
+
+impl CleanFtGmres {
+    /// The latest outer boundary, at most `outer`, that a solve whose
+    /// inner detector is `detector` may fork at: within the recorded
+    /// prefix, and after no inner solve the detector would have fired
+    /// in. Boundary 1 is a start from scratch.
+    pub fn fork_boundary(&self, outer: usize, detector: Option<&SdcDetector>) -> usize {
+        let silent = match detector {
+            Some(d) => 1 + self.inner_max_abs_h.iter().take_while(|&&h| h <= d.bound).count(),
+            None => usize::MAX,
+        };
+        outer.min(self.prefix.boundaries()).min(silent).max(1)
+    }
+
+    /// The largest `|h|` per inner solve (index 0 is inner solve 1).
+    pub fn inner_max_abs_h(&self) -> &[f64] {
+        &self.inner_max_abs_h
+    }
+
+    /// Bytes held by the recorded state.
+    pub fn bytes(&self) -> usize {
+        self.prefix.bytes() + 8 * self.inner_max_abs_h.len()
+    }
+}
+
+/// Pass-through injector recording the largest `|h|` per inner solve.
+#[derive(Default)]
+struct MaxAbsH(Mutex<Vec<f64>>);
+
+impl FaultInjector for MaxAbsH {
+    fn corrupt(&self, site: Site, value: f64) -> f64 {
+        if matches!(site.kernel, Kernel::OrthoDot | Kernel::OrthoNorm) && site.inner_solve > 0 {
+            let mut maxima = self.0.lock();
+            if maxima.len() < site.inner_solve {
+                maxima.resize(site.inner_solve, 0.0);
+            }
+            let (m, v) = (&mut maxima[site.inner_solve - 1], value.abs());
+            // NaN sticks: it fails every bound, as it fails the detector.
+            if !m.is_nan() && (v.is_nan() || v > *m) {
+                *m = v;
+            }
+        }
+        value
+    }
+}
+
+/// Solves `A x = b` with fault-free FT-GMRES (bitwise
+/// [`ftgmres_solve_precond`] with [`NoFaults`]) and keeps what
+/// [`ftgmres_fork`] needs.
+pub fn ftgmres_capture<A: LinearOperator + ?Sized>(
+    a: &A,
+    b: &[f64],
+    x0: Option<&[f64]>,
+    cfg: &FtGmresConfig,
+    precond: &BuiltPrecond,
+) -> (Vec<f64>, SolveReport, CleanFtGmres) {
+    let maxima = MaxAbsH::default();
+    let mut inner = InnerGmresPrecond::new(a, cfg, precond, &maxima);
+    let (x, report, prefix) = fgmres_solve_capture(a, b, x0, &cfg.outer, &mut inner);
+    let clean = CleanFtGmres { cfg: *cfg, prefix, inner_max_abs_h: maxima.0.into_inner() };
+    (x, report, clean)
+}
+
+/// [`ftgmres_solve_precond`] on the system `clean` was captured on,
+/// forked at outer boundary `outer`: the inner solves of outer
+/// iterations `1 … outer−1` are taken from the clean solve instead of
+/// run. The result is bitwise the from-scratch one whenever `injector`
+/// fires nowhere in those inner solves (e.g. a campaign's MGS-site
+/// injector aimed at inner solve `outer` or later).
+///
+/// Panics unless `outer` is a valid [`CleanFtGmres::fork_boundary`] for
+/// `cfg`'s detector and `cfg` equals the captured configuration up to
+/// the detector.
+pub fn ftgmres_fork<A: LinearOperator + ?Sized>(
+    a: &A,
+    b: &[f64],
+    cfg: &FtGmresConfig,
+    precond: &BuiltPrecond,
+    injector: &dyn FaultInjector,
+    clean: &CleanFtGmres,
+    outer: usize,
+) -> (Vec<f64>, SolveReport) {
+    assert_eq!(
+        outer,
+        clean.fork_boundary(outer, cfg.inner_detector.as_ref()),
+        "ftgmres_fork: outer boundary {outer} is not forkable"
+    );
+    assert_eq!(
+        FtGmresConfig { inner_detector: None, ..*cfg },
+        FtGmresConfig { inner_detector: None, ..clean.cfg },
+        "ftgmres_fork: configuration differs from the captured solve"
+    );
+    let mut inner = InnerGmresPrecond::new(a, cfg, precond, injector);
+    fgmres_resume(a, b, &cfg.outer, &mut inner, &clean.prefix, outer)
 }
 
 #[cfg(test)]

@@ -10,14 +10,16 @@
 
 use sdc_faults::campaign::{CampaignPoint, FaultClass, MgsPosition};
 use sdc_faults::trigger::LoopPosition;
-use sdc_faults::{FaultModel, SingleFaultInjector, SitePredicate, Trigger};
+use sdc_faults::{
+    FaultInjector, FaultModel, NoFaults, SingleFaultInjector, SitePredicate, Trigger,
+};
 use sdc_gmres::abft::{abft_gmres_solve, AbftGmresConfig};
 use sdc_gmres::arnoldi::arnoldi;
 use sdc_gmres::detector::{DetectorResponse, SdcDetector};
 use sdc_gmres::fgmres::{
     fgmres_solve, FgmresConfig, FixedPrecond, FlexiblePreconditioner, PrecondReport,
 };
-use sdc_gmres::ftgmres::{ftgmres_solve_precond, FtGmresConfig};
+use sdc_gmres::ftgmres::{ftgmres_capture, ftgmres_fork, ftgmres_solve_precond, FtGmresConfig};
 use sdc_gmres::gmres::{gmres_solve_instrumented, gmres_solve_right_precond, GmresConfig};
 use sdc_gmres::ortho::OrthoStrategy;
 use sdc_gmres::precond::{JacobiPrecond, PrecondKind};
@@ -235,4 +237,62 @@ fn arnoldi_hessenberg() {
         bits_digest(&q)
     );
     check("arnoldi", got, "cols=20 breakdown=false h=e111b7d453ac3f37 q=cc3cc5bbc5573fbe");
+}
+
+/// `x` bits plus every report field (`Debug` prints floats exactly).
+fn solve_bits((x, rep): (Vec<f64>, SolveReport)) -> String {
+    let x: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+    let hist: Vec<u64> = rep.residual_history.iter().map(|v| v.to_bits()).collect();
+    format!("x={x:?} hist={hist:?} {rep:?}")
+}
+
+#[test]
+fn ftgmres_forked_at_every_outer_boundary_matches_the_solve_from_scratch() {
+    let a = gallery::poisson2d(16);
+    let b = b_for(&a);
+    for kind in [PrecondKind::None, PrecondKind::Ilu0, PrecondKind::Chebyshev] {
+        let p = kind.build(&a).unwrap();
+        let clean_cfg = FtGmresConfig {
+            outer: FgmresConfig { tol: 1e-10, max_outer: 40, ..Default::default() },
+            inner_iters: 3,
+            ..Default::default()
+        };
+        let (x, clean_rep, clean) = ftgmres_capture(&a, &b, None, &clean_cfg, &p);
+        let outers = clean_rep.iterations;
+        assert_eq!(
+            solve_bits((x, clean_rep)),
+            solve_bits(ftgmres_solve_precond(&a, &b, None, &clean_cfg, &p, &NoFaults)),
+            "{kind}: the capture is the clean solve"
+        );
+        assert!(outers >= 3, "{kind}: {outers} outer iterations leave little to fork");
+        for detector in
+            [None, Some(SdcDetector::for_precond(&a, &p, DetectorResponse::RestartInner))]
+        {
+            let cfg = FtGmresConfig { inner_detector: detector, ..clean_cfg };
+            for o in 1..=outers {
+                assert_eq!(clean.fork_boundary(o, detector.as_ref()), o, "{kind}: outer {o}");
+                let fault = CampaignPoint {
+                    aggregate_iteration: (o - 1) * cfg.inner_iters + 2,
+                    inner_per_outer: cfg.inner_iters,
+                    class: FaultClass::Huge,
+                    position: MgsPosition::First,
+                };
+                let injectors: [&dyn Fn() -> Box<dyn FaultInjector>; 2] =
+                    [&|| Box::new(NoFaults), &|| Box::new(fault.injector())];
+                for (faults, make) in injectors.into_iter().enumerate() {
+                    let inj = make();
+                    let scratch = ftgmres_solve_precond(&a, &b, None, &cfg, &p, inj.as_ref());
+                    assert_eq!(scratch.1.injections.len(), faults, "{kind}: outer {o}");
+                    let inj = make();
+                    let forked = ftgmres_fork(&a, &b, &cfg, &p, inj.as_ref(), &clean, o);
+                    assert_eq!(
+                        solve_bits(forked),
+                        solve_bits(scratch),
+                        "{kind} detector={} outer {o}",
+                        detector.is_some()
+                    );
+                }
+            }
+        }
+    }
 }
