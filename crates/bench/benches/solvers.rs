@@ -1,5 +1,5 @@
-//! Criterion benchmarks at the solver level: time-to-solution of CG,
-//! GMRES, restarted GMRES and FT-GMRES on the Poisson problem, and the
+//! Criterion benchmarks at the solver level: time-to-solution of GMRES,
+//! restarted GMRES and FT-GMRES on the Poisson problem, and the
 //! cost of running FT-GMRES with injection plumbing armed versus
 //! fault-free — the end-to-end version of the "cheap detector" claim.
 
@@ -26,9 +26,6 @@ fn bench_solvers(c: &mut Criterion) {
     g.sample_size(10);
     let (a, b) = problem();
 
-    g.bench_function("cg", |bch| {
-        bch.iter(|| black_box(cg_solve(&a, &b, None, &CgConfig { tol: 1e-7, max_iters: 2000 })))
-    });
     g.bench_function("gmres_full", |bch| {
         let cfg = GmresConfig { tol: 1e-7, max_iters: 400, ..Default::default() };
         bch.iter(|| black_box(gmres_solve(&a, &b, None, &cfg)))

@@ -6,9 +6,10 @@
 //!
 //! Paper setup: `mult_dcop_03` (25,187 rows), 25 inner iterations per
 //! outer iteration, failure-free = 28 outer. Our synthetic circuit
-//! stand-in (DESIGN.md §3) reaches 27 failure-free outer iterations at
-//! outer tolerance 5e-9 with b = A·1. Pass `--matrix mult_dcop_03.mtx`
-//! to run on the real matrix when available.
+//! stand-in (`crates/sparse/src/gallery/circuit.rs`) reaches 27
+//! failure-free outer iterations at outer tolerance 5e-9 with b = A·1.
+//! Pass `--matrix mult_dcop_03.mtx` to run on the real matrix when
+//! available.
 //!
 //! The default stride is 5 (the sweep is ~4,000 solves at stride 1);
 //! pass `--stride 1` for the paper-resolution figure. With `--out PATH`

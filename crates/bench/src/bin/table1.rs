@@ -4,7 +4,8 @@
 //! Prints our measured values side by side with the values the paper
 //! reports for `gallery('poisson',100)` and `mult_dcop_03`. The Poisson
 //! values must match closely (same matrix); the synthetic circuit column
-//! documents how faithful the stand-in is (see DESIGN.md §3).
+//! documents how faithful the stand-in is (see
+//! `crates/sparse/src/gallery/circuit.rs`).
 //!
 //! Usage: `table1 [--quick] [--matrix path.mtx]`
 

@@ -14,7 +14,7 @@ pub struct Problem {
     pub a: CsrMatrix,
     /// Right-hand side. The paper does not state its choice; we use
     /// `b = A·1` so the exact solution is the ones vector and solution
-    /// error is directly interpretable (recorded in EXPERIMENTS.md).
+    /// error is directly interpretable.
     pub b: Vec<f64>,
     /// Lazily-built SELL-C-σ engine; shared by every unit that solves
     /// this problem with `format = sell` (or `auto` resolving to SELL),
@@ -92,7 +92,7 @@ pub fn poisson(m: usize) -> Problem {
 
 /// The paper's second problem. If `mtx` is given, loads the *real*
 /// `mult_dcop_03.mtx`; otherwise generates the synthetic circuit stand-in
-/// (DESIGN.md §3).
+/// (`crates/sparse/src/gallery/circuit.rs`).
 ///
 /// Either way the matrix is symmetrically equilibrated
 /// (`D^{-1/2} A D^{-1/2}` with `D = diag(max(|a_ii|, ε))`): the raw

@@ -21,6 +21,7 @@ use crate::problems::Problem;
 use rayon::prelude::*;
 use sdc_faults::campaign::{CampaignPoint, FaultClass, MgsPosition};
 use sdc_gmres::ftgmres::{ftgmres_capture, ftgmres_fork, ftgmres_solve_precond, CleanFtGmres};
+use sdc_gmres::operator::true_rel_residual;
 use sdc_gmres::prelude::*;
 
 /// Sweep configuration (mirrors the paper's experimental setup).
@@ -236,9 +237,6 @@ pub fn run_experiment(
         Some(c) => ftgmres_fork(op, &p.b, ft, precond, &inj, c, fork_boundary(c, ft, point)),
         None => ftgmres_solve_precond(op, &p.b, None, ft, precond, &inj),
     };
-    let mut r = vec![0.0; p.b.len()];
-    sdc_gmres::operator::residual(&p.a, &p.b, &x, &mut r);
-    let true_rel = sdc_dense::vector::nrm2(&r) / sdc_dense::vector::nrm2(&p.b).max(1e-300);
     SweepPoint {
         aggregate: point.aggregate_iteration,
         outer_iterations: rep.iterations,
@@ -246,7 +244,7 @@ pub fn run_experiment(
         injected: !rep.injections.is_empty(),
         detected: rep.detected_anything(),
         restarts: rep.detector_restarts,
-        true_rel_residual: true_rel,
+        true_rel_residual: true_rel_residual(&p.a, &p.b, &x),
     }
 }
 

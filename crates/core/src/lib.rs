@@ -25,7 +25,6 @@
 //!   with rollback.
 //! * [`ftgmres`] — FT-GMRES: reliable FGMRES outer iteration around
 //!   sandboxed, unreliable inner GMRES solves (§VI).
-//! * [`cg`] — Conjugate Gradient, the SPD baseline Table I alludes to.
 //! * [`precond`] — right/flexible preconditioning: identity, Jacobi,
 //!   ILU(0) and Chebyshev implementations, the `PrecondKind` axis, and
 //!   the opaque-preconditioner fault surface of the sequel paper
@@ -54,13 +53,11 @@
 
 pub mod abft;
 pub mod arnoldi;
-pub mod cg;
 pub mod detector;
 pub mod fgmres;
 pub mod ftgmres;
 pub mod gmres;
 pub mod ilu;
-pub mod instrumented;
 pub mod operator;
 pub mod ortho;
 pub mod precond;
@@ -68,7 +65,6 @@ pub mod telemetry;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::cg::{cg_solve, CgConfig};
     pub use crate::detector::{DetectorResponse, SdcDetector, Violation};
     pub use crate::fgmres::{fgmres_solve, FgmresConfig};
     pub use crate::ftgmres::{ftgmres_solve, ftgmres_solve_precond, FtGmresConfig};

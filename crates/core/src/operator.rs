@@ -113,6 +113,14 @@ pub fn residual<A: LinearOperator + ?Sized>(a: &A, b: &[f64], x: &[f64], r: &mut
     }
 }
 
+/// The true relative residual `‖b − A x‖₂ / ‖b‖₂` (guarded against a
+/// zero `b`): the reliable check every solve's answer is reported with.
+pub fn true_rel_residual<A: LinearOperator + ?Sized>(a: &A, b: &[f64], x: &[f64]) -> f64 {
+    let mut r = vec![0.0; b.len()];
+    residual(a, b, x, &mut r);
+    sdc_dense::vector::nrm2(&r) / sdc_dense::vector::nrm2(b).max(1e-300)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,8 @@
 //! Solve reports: what happened, loudly.
 //!
-//! The paper's taxonomy demands that faults either be run through
-//! (correct answer), detected, or reported — never silent. The report
+//! A faulted solve either runs through to a correct answer, or its
+//! report says the fault was detected or the solve failed — never a
+//! silent wrong answer. The report
 //! types here carry everything an experiment needs: the outcome, the
 //! iteration counts the figures plot, residual histories, every detector
 //! event and every committed injection.
@@ -139,7 +140,7 @@ impl Default for SolveReport {
 /// The flat, serialization-ready digest of a [`SolveReport`].
 ///
 /// Every consumer that turns a report into text or JSON — the
-/// calibration/experiment binaries, the `sdc_server` wire protocol —
+/// experiment binaries, the `sdc_server` wire protocol —
 /// goes through this one type, so field names and outcome labels cannot
 /// drift between surfaces. The crate stays dependency-free: rendering to
 /// a concrete JSON value lives with the JSON implementation

@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn no_faults_is_identity() {
         let inj = NoFaults;
-        assert_eq!(inj.corrupt(Site::bare(Kernel::SpMv), 1.25), 1.25);
+        assert_eq!(inj.corrupt(Site::bare(Kernel::Precond), 1.25), 1.25);
         assert!(inj.records().is_empty());
     }
 

@@ -7,8 +7,6 @@
 //! to the correct result (`×10^150`, `×10^-0.5`, `×10^-300`). This crate
 //! provides the machinery:
 //!
-//! * [`taxonomy`] — the fault/failure vocabulary of the paper's Fig. 1 as
-//!   a type hierarchy.
 //! * [`model`] — what a fault does to a value: the paper's relative
 //!   scalings, absolute overwrites, offsets, bit flips, and the IEEE-754
 //!   specials.
@@ -24,17 +22,12 @@
 //!   model (§III-A-2).
 //! * [`campaign`] — the paper's fault classes and Gram-Schmidt positions
 //!   as enums, plus deterministic campaign-plan builders.
-//! * [`storage`] — persistent faults in the operator's stored data,
-//!   mapped onto both sparse engines (CSR and SELL-C-σ) so bitflip
-//!   campaigns can target value/column storage in either layout.
 
 pub mod bitflip;
 pub mod campaign;
 pub mod injector;
 pub mod model;
 pub mod site;
-pub mod storage;
-pub mod taxonomy;
 pub mod trigger;
 
 pub use campaign::{FaultClass, FaultTarget, MgsPosition};

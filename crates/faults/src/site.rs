@@ -9,7 +9,8 @@
 //! the orthogonalization loop (= row index i of `h_ij`).
 //!
 //! All indices are 1-based to match the paper's notation; `0` means
-//! "not applicable" (e.g. `loop_index` for an SpMV site).
+//! "not applicable" (e.g. the iteration coordinates of a stored-factor
+//! preconditioner site).
 
 /// The instrumented kernel in which a value was produced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -20,21 +21,8 @@ pub enum Kernel {
     /// The norm computation after the loop — produces `h_{j+1,j}`
     /// (Algorithm 1, line 9).
     OrthoNorm,
-    /// Sparse matrix–vector product (Algorithm 1, line 4).
-    SpMv,
-    /// Vector update kernels.
-    Axpy,
-    /// The projected least-squares solve.
-    LsqSolve,
-    /// Preconditioner application.
+    /// Preconditioner application, or a stored preconditioner factor.
     Precond,
-    /// A value in the operator's *stored data* (matrix storage), struck
-    /// in memory rather than in flight. `loop_index` carries the flat
-    /// storage slot + 1 — `row_ptr[r] + k` for CSR, the chunk-interleaved
-    /// slot for SELL-C-σ (see `sdc_faults::storage` for the mapping);
-    /// iteration coordinates are 0 (the corruption persists across
-    /// iterations until repaired).
-    MatrixValue,
 }
 
 /// Full coordinates of one instrumented scalar operation.
@@ -128,7 +116,7 @@ mod tests {
 
     #[test]
     fn aggregate_zero_outside_inner_solve() {
-        let s = Site::bare(Kernel::SpMv);
+        let s = Site::bare(Kernel::Precond);
         assert_eq!(s.aggregate_inner_iteration(25), 0);
     }
 

@@ -78,9 +78,9 @@ impl SitePredicate {
     }
 
     /// Predicate for the opaque-preconditioner model's *persistent*
-    /// faults: stored-factor slot `slot` (1-based, mirroring the
-    /// `Kernel::MatrixValue` convention). Iteration coordinates are
-    /// wildcarded — stored-factor sweeps carry zeros there.
+    /// faults: stored-factor slot `slot` (1-based, carried in
+    /// `loop_index`). Iteration coordinates are wildcarded — stored-factor
+    /// sweeps carry zeros there.
     pub fn precond_factor(slot: usize) -> Self {
         Self {
             kernel: Some(Kernel::Precond),
@@ -133,15 +133,6 @@ pub enum FireMode {
     Always,
     /// Fire on the n-th match only (1-based).
     NthMatch(u64),
-    /// Fire on every match whose ordinal lies in `[from, to]` (1-based,
-    /// inclusive) — models a *sticky* fault: hardware faulty for some
-    /// duration, then healthy again (Fig. 1).
-    Window {
-        /// First firing match ordinal.
-        from: u64,
-        /// Last firing match ordinal.
-        to: u64,
-    },
 }
 
 /// A complete trigger: predicate + firing mode.
@@ -171,13 +162,7 @@ impl Trigger {
             FireMode::Once => fired_before == 0,
             FireMode::Always => true,
             FireMode::NthMatch(n) => match_ordinal == n,
-            FireMode::Window { from, to } => (from..=to).contains(&match_ordinal),
         }
-    }
-
-    /// A sticky fault: fires on match ordinals `[from, to]`.
-    pub fn sticky(predicate: SitePredicate, from: u64, to: u64) -> Self {
-        Trigger { predicate, mode: FireMode::Window { from, to } }
     }
 }
 
@@ -199,7 +184,7 @@ mod tests {
     fn wildcard_matches_everything() {
         let p = SitePredicate::any();
         assert!(p.matches(&mgs(1, 1, 1)));
-        assert!(p.matches(&Site::bare(Kernel::SpMv)));
+        assert!(p.matches(&Site::bare(Kernel::Precond)));
     }
 
     #[test]
@@ -241,17 +226,6 @@ mod tests {
         assert!(!t.should_fire(2, 0));
         assert!(t.should_fire(3, 0));
         assert!(!t.should_fire(4, 1));
-    }
-
-    #[test]
-    fn sticky_window_fires_inside_only() {
-        let t = Trigger::sticky(SitePredicate::any(), 3, 5);
-        assert!(!t.should_fire(1, 0));
-        assert!(!t.should_fire(2, 0));
-        assert!(t.should_fire(3, 0));
-        assert!(t.should_fire(4, 1));
-        assert!(t.should_fire(5, 2));
-        assert!(!t.should_fire(6, 3));
     }
 
     #[test]

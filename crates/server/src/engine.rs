@@ -25,6 +25,7 @@ use sdc_campaigns::json::{fmt_f64, Json};
 use sdc_campaigns::{Problem, RunOptions};
 use sdc_faults::campaign::{CampaignPoint, FaultTarget};
 use sdc_faults::NoFaults;
+use sdc_gmres::operator::true_rel_residual;
 use sdc_gmres::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -903,11 +904,6 @@ fn execute_solve(
         }
     };
 
-    // Reliable true residual against the CSR source of truth.
-    let mut r = vec![0.0; b.len()];
-    sdc_gmres::operator::residual(&problem.a, b, &x, &mut r);
-    let true_rel = sdc_dense::vector::nrm2(&r) / sdc_dense::vector::nrm2(b).max(1e-300);
-
     let summary = SolveSummary::from_report(&rep);
     let mut fields = vec![
         ("matrix", Json::str(key)),
@@ -915,7 +911,8 @@ fn execute_solve(
         ("resolved_format", Json::str(problem.resolved_format(req.format).as_str())),
         ("seed", Json::u64(req.seed)),
         ("summary", sdc_campaigns::summary_json(&summary)),
-        ("true_rel_residual", Json::Num(true_rel)),
+        // Reliable true residual against the CSR source of truth.
+        ("true_rel_residual", Json::Num(true_rel_residual(&problem.a, b, &x))),
     ];
     if req.return_x {
         fields.push(("x", Json::Arr(x.iter().map(|&v| Json::Num(v)).collect())));

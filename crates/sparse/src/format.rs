@@ -218,35 +218,6 @@ impl FormatMatrix {
             FormatMatrix::Sell(s) => s.par_spmv(x, y),
         }
     }
-
-    /// Raw value storage (the fault-injection surface; for SELL this
-    /// includes padding slots).
-    pub fn values(&self) -> &[f64] {
-        match self {
-            FormatMatrix::Csr(a) => a.values(),
-            FormatMatrix::Sell(s) => s.values(),
-        }
-    }
-
-    /// Mutable value storage for fault campaigns.
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        match self {
-            FormatMatrix::Csr(a) => a.values_mut(),
-            FormatMatrix::Sell(s) => s.values_mut(),
-        }
-    }
-
-    /// The flat value-storage slot of logical entry `k` of row `r`
-    /// (CSR: `row_ptr[r] + k`; SELL: [`SellMatrix::entry_slot`]).
-    pub fn entry_slot(&self, r: usize, k: usize) -> usize {
-        match self {
-            FormatMatrix::Csr(a) => {
-                assert!(k < a.row(r).0.len(), "entry_slot: row {r} has too few entries");
-                a.row_ptr()[r] + k
-            }
-            FormatMatrix::Sell(s) => s.entry_slot(r, k),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -339,20 +310,6 @@ mod tests {
         sell.par_spmv(&x, &mut y2);
         for i in 0..a.nrows() {
             assert_eq!(y1[i].to_bits(), y2[i].to_bits());
-        }
-    }
-
-    #[test]
-    fn entry_slot_agrees_with_values() {
-        let a = gallery::sprand(30, 30, 0.15, 11);
-        for fmt in [SparseFormat::Csr, SparseFormat::Sell] {
-            let m = FormatMatrix::convert(&a, fmt);
-            for r in 0..a.nrows() {
-                let (_, vals) = a.row(r);
-                for (k, &v) in vals.iter().enumerate() {
-                    assert_eq!(m.values()[m.entry_slot(r, k)], v);
-                }
-            }
         }
     }
 

@@ -5,8 +5,8 @@
 //! scratch"): it uses Matlab's `gallery('poisson',100)` and the UF
 //! collection's `mult_dcop_03`. This gallery reconstructs the former
 //! exactly and substitutes a synthetic circuit generator for the latter
-//! (DESIGN.md §3), alongside the standard Krylov test operators used by
-//! the extended experiments.
+//! (rationale in `crates/sparse/src/gallery/circuit.rs`), alongside the
+//! standard Krylov test operators used by the extended experiments.
 
 mod circuit;
 mod convdiff;

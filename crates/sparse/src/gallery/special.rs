@@ -71,9 +71,8 @@ pub fn anisotropic_poisson2d(m: usize, eps: f64) -> CsrMatrix {
 }
 
 /// Shifted Poisson operator `A − σI` (discrete Helmholtz). For
-/// `σ > λ_min(A)` the matrix is symmetric *indefinite*: CG's breakdown
-/// detection and GMRES' robustness on indefinite systems are exercised
-/// with a controlled, well-understood operator.
+/// `σ > λ_min(A)` the matrix is symmetric *indefinite*: a controlled,
+/// well-understood operator for exercising GMRES on indefinite systems.
 pub fn helmholtz2d(m: usize, sigma: f64) -> CsrMatrix {
     let a = crate::gallery::poisson2d(m);
     let shift = crate::ops::scale(&CsrMatrix::identity(m * m), -sigma);

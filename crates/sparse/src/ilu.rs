@@ -156,8 +156,7 @@ impl Ilu0Factor {
 
     /// Raw stored-factor values — the fault-injection surface for the
     /// opaque-preconditioner model (slot `k` ↔ 1-based fault site
-    /// `loop_index = k + 1`, mirroring the `Kernel::MatrixValue`
-    /// convention).
+    /// `loop_index = k + 1`).
     pub fn values(&self) -> &[f64] {
         &self.values
     }

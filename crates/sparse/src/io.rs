@@ -2,10 +2,11 @@
 //!
 //! The paper's second test matrix, `mult_dcop_03`, ships from the
 //! UF/SuiteSparse collection in Matrix Market coordinate format. The
-//! reproduction substitutes a synthetic generator (see DESIGN.md §3), but
-//! this reader lets the *real* file be dropped into every experiment
-//! binary unchanged (`--matrix path.mtx`). The writer closes the loop for
-//! round-trip testing and for exporting generated matrices.
+//! reproduction substitutes a synthetic generator (see
+//! `crates/sparse/src/gallery/circuit.rs`), but this reader lets the
+//! *real* file be dropped into every experiment binary unchanged
+//! (`--matrix path.mtx`). The writer closes the loop for round-trip
+//! testing and for exporting generated matrices.
 //!
 //! Supported: `matrix coordinate real|integer|pattern
 //! general|symmetric|skew-symmetric`. Complex and array formats are out of

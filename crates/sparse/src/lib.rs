@@ -3,8 +3,8 @@
 //! The paper evaluates GMRES on large sparse systems (a 2-D Poisson matrix
 //! and a circuit-simulation matrix). This crate provides, from scratch:
 //!
-//! * Triplet ([`coo`]), compressed-sparse-row ([`csr`]) and
-//!   compressed-sparse-column ([`csc`]) storage with validated construction.
+//! * Triplet ([`coo`]) and compressed-sparse-row ([`csr`]) storage with
+//!   validated construction.
 //! * A second SpMV engine ([`sell`]): SELL-C-σ sliced-ELLPACK storage
 //!   with chunk-parallel kernels, plus a format abstraction and
 //!   row-length-variance `auto` heuristic ([`format`](mod@format))
@@ -29,15 +29,13 @@
 //!   dimensions, nonsymmetric convection–diffusion, Toeplitz/Grcar test
 //!   matrices, seeded random sparse matrices, and the synthetic
 //!   circuit-simulation generator that stands in for `mult_dcop_03`
-//!   (see DESIGN.md §3 for the substitution rationale).
+//!   (`crates/sparse/src/gallery/circuit.rs` documents the substitution).
 
-// Index-based loops intentionally mirror the CSR/CSC index arithmetic of the
+// Index-based loops intentionally mirror the CSR/SELL index arithmetic of the
 // kernels (row pointers, column indices); iterator rewrites would obscure it.
 #![allow(clippy::needless_range_loop)]
 
-pub mod checksum;
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod format;
 pub mod gallery;
@@ -51,7 +49,6 @@ pub mod simd;
 pub mod structure;
 
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use format::{auto_format, FormatMatrix, SparseFormat};
 pub use ilu::{Ilu0Error, Ilu0Factor};

@@ -215,46 +215,12 @@ impl SellMatrix {
         }
     }
 
-    /// Raw value storage, *including* padding slots (fault-injection
-    /// surface; see [`SellMatrix::is_padding_slot`]).
-    #[inline]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Mutable value storage (pattern fixed) — the bitflip-campaign
-    /// target. Corrupting a padding slot is architecturally masked: the
-    /// kernel never reads it.
+    /// Mutable value storage, *including* padding slots (pattern fixed;
+    /// see [`SellMatrix::is_padding_slot`]). Writing a padding slot
+    /// changes no product: the kernel never reads it.
     #[inline]
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
-    }
-
-    /// Raw column-index storage, including padding slots.
-    #[inline]
-    pub fn col_idx(&self) -> &[usize] {
-        &self.col_idx
-    }
-
-    /// Mutable column-index storage for fault campaigns. An index pushed
-    /// out of `0..ncols` makes [`SellMatrix::spmv`] panic (a memory-safe
-    /// crash — the taxonomy's hard-fault outcome), so campaigns should
-    /// range-check flips they intend to run through.
-    #[inline]
-    pub fn col_idx_mut(&mut self) -> &mut [usize] {
-        &mut self.col_idx
-    }
-
-    /// The flat storage slot of logical entry `k` of *original* row `r`
-    /// (the SELL analogue of CSR's `row_ptr[r] + k`).
-    ///
-    /// # Panics
-    /// Panics if `r` is out of range or `k >= nnz(row r)`.
-    pub fn entry_slot(&self, r: usize, k: usize) -> usize {
-        let s = self.perm.inverse()[r];
-        assert!(k < self.row_len[s], "entry_slot: row {r} has only {} entries", self.row_len[s]);
-        let (c, lane) = (s / self.chunk, s % self.chunk);
-        self.chunk_ptr[c] + lane + k * self.chunk
     }
 
     /// True if `slot` is a padding slot (never read by the kernel).
@@ -526,21 +492,6 @@ mod tests {
         let mut y = vec![1.0; 5];
         s.spmv(&[0.0; 3], &mut y);
         assert_eq!(y, vec![0.0; 5]);
-    }
-
-    #[test]
-    fn entry_slot_addresses_the_right_value() {
-        let a = gallery::sprand(40, 40, 0.1, 7);
-        let s = SellMatrix::from_csr_with(&a, 4, 16);
-        for r in 0..a.nrows() {
-            let (cols, vals) = a.row(r);
-            for k in 0..cols.len() {
-                let slot = s.entry_slot(r, k);
-                assert_eq!(s.values()[slot], vals[k], "row {r} entry {k}");
-                assert_eq!(s.col_idx()[slot], cols[k]);
-                assert!(!s.is_padding_slot(slot));
-            }
-        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub(crate) mod avx2 {
         let valid = _mm256_cmpgt_epi64(bound, _mm256_xor_si256(idx, bias));
         if _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_andnot_si256(valid, live))) != 0 {
             // A live lane's index is out of range: reproduce the scalar
-            // kernel's bounds-check panic (the taxonomy's hard fault).
+            // kernel's bounds-check panic: a loud crash, never a wild read.
             let live_l: [i64; 4] = std::mem::transmute(live);
             for (lane, &l) in live_l.iter().enumerate() {
                 if l != 0 {

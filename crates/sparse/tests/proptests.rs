@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use sdc_dense::vector;
 use sdc_sparse::gallery;
 use sdc_sparse::io::{read_matrix_market_from, write_matrix_market_to};
-use sdc_sparse::{structure, CooMatrix, CscMatrix};
+use sdc_sparse::{structure, CooMatrix};
 use std::io::Cursor;
 
 /// Strategy: a random COO matrix with bounded size and entries.
@@ -57,13 +57,6 @@ proptest! {
         let rhs = vector::dot(&x, &aty);
         let scale = a.norm_fro().max(1.0) * vector::nrm2(&x).max(1.0) * vector::nrm2(&y).max(1.0);
         prop_assert!((lhs - rhs).abs() <= 1e-12 * scale);
-    }
-
-    #[test]
-    fn csc_round_trip(coo in coo_strategy(10)) {
-        let a = coo.to_csr();
-        let csc = CscMatrix::from_csr(&a);
-        prop_assert_eq!(csc.to_csr(), a);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use sdc_sparse::gallery::{circuit_mna, CircuitMnaConfig};
 use sdc_sparse::structure;
 
 fn main() {
-    // A mid-sized instance of the mult_dcop_03 stand-in (DESIGN.md §3).
+    // A mid-sized instance of the mult_dcop_03 stand-in.
     let cfg = CircuitMnaConfig { nodes: 5000, seed: 1311, ..Default::default() };
     let mut a = circuit_mna(&cfg);
     println!(

@@ -25,9 +25,10 @@ fn main() {
     let (x, rep) = gmres_solve(&a, &b, None, &cfg);
     report("GMRES", &x, &rep);
 
-    // 2. CG — the matrix is SPD, so the cheaper solver applies too.
-    let (x, rep) = cg_solve(&a, &b, None, &CgConfig { tol: 1e-10, max_iters: 1000 });
-    report("CG", &x, &rep);
+    // 2. Restarted GMRES(25): bounded basis memory, more iterations.
+    let cfg = GmresConfig { tol: 1e-10, max_iters: 1000, restart: Some(25), ..Default::default() };
+    let (x, rep) = gmres_solve(&a, &b, None, &cfg);
+    report("GMRES(25)", &x, &rep);
 
     // 3. FT-GMRES: reliable outer iteration, 25-iteration inner GMRES
     //    solves as the (sandboxed) preconditioner, SDC detector armed.

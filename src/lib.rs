@@ -19,7 +19,7 @@
 //! * [`faults`] — SDC fault models, injection sites/triggers and
 //!   bit-flip anatomy.
 //! * [`solvers`] — GMRES / Flexible GMRES / FT-GMRES with the
-//!   invariant-based SDC detector, plus the CG baseline.
+//!   invariant-based SDC detector, plus the Online-ABFT baseline.
 //! * [`campaigns`] — the declarative, resumable, artifact-first
 //!   campaign engine (specs, sharded executor, JSONL artifacts,
 //!   re-solve-free reports).
@@ -27,10 +27,9 @@
 //!   batching scheduler, streaming campaign jobs over a
 //!   newline-delimited JSON protocol (`serve` / `solve-client`).
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! `EXPERIMENTS.md` for the paper-vs-measured record. The `examples/`
-//! directory contains runnable walkthroughs and `crates/bench` the
-//! binaries that regenerate every table and figure of the paper.
+//! See `README.md` for a tour. The `examples/` directory contains
+//! runnable walkthroughs and `crates/bench` the binaries that regenerate
+//! every table and figure of the paper.
 
 pub use sdc_campaigns as campaigns;
 pub use sdc_dense as dense;

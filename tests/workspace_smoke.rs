@@ -22,7 +22,6 @@ fn umbrella_reexports_resolve() {
     // solvers: prelude types are nameable and default-constructible
     let _ = GmresConfig::default();
     let _ = FtGmresConfig::default();
-    let _ = CgConfig { tol: 1e-8, max_iters: 10 };
     let _ = LstsqPolicy::default();
     let _ = OrthoStrategy::Mgs;
     let _ = DetectorResponse::Record;
