@@ -26,7 +26,6 @@ use crate::arnoldi::Arnoldi;
 use crate::detector::Violation;
 use crate::operator::{residual, LinearOperator};
 use crate::ortho::{OrthoSiteCtx, OrthoStrategy};
-use crate::precond::Preconditioner;
 use crate::telemetry::{SolveOutcome, SolveReport};
 use sdc_dense::lstsq::LstsqPolicy;
 use sdc_dense::matrix::DenseMatrix;
@@ -79,24 +78,6 @@ pub trait FlexiblePreconditioner {
     /// Display name for reports.
     fn name(&self) -> &'static str {
         "flexible preconditioner"
-    }
-}
-
-/// Adapter: any plain [`Preconditioner`] is a (constant) flexible one.
-pub struct FixedPrecond<P: Preconditioner>(pub P);
-
-impl<P: Preconditioner> FlexiblePreconditioner for FixedPrecond<P> {
-    fn apply_flexible(
-        &mut self,
-        _outer_iteration: usize,
-        q: &[f64],
-        z: &mut [f64],
-    ) -> PrecondReport {
-        self.0.apply(q, z);
-        PrecondReport::default()
-    }
-    fn name(&self) -> &'static str {
-        self.0.name()
     }
 }
 
@@ -499,7 +480,7 @@ fn square_hessenberg_is_full_rank(h_cols: &[Vec<f64>]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::{IdentityPrecond, JacobiPrecond};
+    use crate::precond::{BuiltPrecond, PrecondKind};
     use sdc_sparse::gallery;
 
     fn b_for(a: &sdc_sparse::CsrMatrix) -> Vec<f64> {
@@ -515,7 +496,7 @@ mod tests {
         let a = gallery::poisson2d(8);
         let b = b_for(&a);
         let cfg = FgmresConfig { tol: 1e-9, max_outer: 200, ..Default::default() };
-        let mut p = FixedPrecond(IdentityPrecond);
+        let mut p = &BuiltPrecond::None;
         let (x, rep) = fgmres_solve(&a, &b, None, &cfg, &mut p);
         assert!(rep.outcome.is_converged(), "{:?}", rep.outcome);
         let err: f64 = x.iter().map(|v| (v - 1.0).abs()).fold(0.0, f64::max);
@@ -529,7 +510,8 @@ mod tests {
         let a = gallery::convection_diffusion_2d(9, 3.0, 1.0);
         let b = b_for(&a);
         let cfg = FgmresConfig { tol: 1e-9, max_outer: 300, ..Default::default() };
-        let mut p = FixedPrecond(JacobiPrecond::from_matrix(&a));
+        let jacobi = PrecondKind::Jacobi.build(&a).unwrap();
+        let mut p = &jacobi;
         let (x, rep) = fgmres_solve(&a, &b, None, &cfg, &mut p);
         assert!(rep.outcome.is_converged(), "{:?}", rep.outcome);
         let err: f64 = x.iter().map(|v| (v - 1.0).abs()).fold(0.0, f64::max);
@@ -635,7 +617,7 @@ mod tests {
     fn zero_rhs_short_circuits() {
         let a = gallery::poisson2d(4);
         let b = vec![0.0; a.nrows()];
-        let mut p = FixedPrecond(IdentityPrecond);
+        let mut p = &BuiltPrecond::None;
         let (x, rep) = fgmres_solve(&a, &b, None, &FgmresConfig::default(), &mut p);
         assert!(x.iter().all(|&v| v == 0.0));
         assert!(rep.outcome.is_converged());
@@ -646,7 +628,7 @@ mod tests {
         let a = gallery::poisson2d(10);
         let b = b_for(&a);
         let cfg = FgmresConfig { tol: 1e-14, max_outer: 3, ..Default::default() };
-        let mut p = FixedPrecond(IdentityPrecond);
+        let mut p = &BuiltPrecond::None;
         let (_, rep) = fgmres_solve(&a, &b, None, &cfg, &mut p);
         assert_eq!(rep.iterations, 3);
         assert_eq!(rep.outcome, SolveOutcome::MaxIterations);

@@ -641,7 +641,7 @@ mod tests {
             position: MgsPosition::First,
         };
         let nnz = match &p {
-            BuiltPrecond::Ilu0(f) => f.factor_data().nnz(),
+            BuiltPrecond::Ilu0(f) => f.nnz(),
             _ => unreachable!(),
         };
         // Undetected: the corrupted factors poison inner directions, but

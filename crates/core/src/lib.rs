@@ -25,10 +25,11 @@
 //!   with rollback.
 //! * [`ftgmres`] — FT-GMRES: reliable FGMRES outer iteration around
 //!   sandboxed, unreliable inner GMRES solves (§VI).
-//! * [`precond`] — right/flexible preconditioning: identity, Jacobi,
-//!   ILU(0) and Chebyshev implementations, the `PrecondKind` axis, and
-//!   the opaque-preconditioner fault surface of the sequel paper
-//!   (stored-factor corruption, per-apply transient flips).
+//! * [`precond`] — right/flexible preconditioning: the `PrecondKind`
+//!   axis and the `BuiltPrecond` it builds (none, Jacobi, ILU(0) from
+//!   `sdc_sparse::ilu`, Chebyshev), and the opaque-preconditioner fault
+//!   surface of the sequel paper (stored-factor corruption, per-apply
+//!   transient flips).
 //! * [`telemetry`] — solve reports: outcomes, residual histories,
 //!   detector events, injection records.
 //!
@@ -48,7 +49,7 @@
 //! ```
 
 // Index-based loops intentionally mirror the paper's Algorithm 1 notation
-// (ILU sweeps, Arnoldi columns); iterator rewrites would obscure it.
+// (Arnoldi columns); iterator rewrites would obscure it.
 #![allow(clippy::needless_range_loop)]
 
 pub mod abft;
@@ -57,7 +58,6 @@ pub mod detector;
 pub mod fgmres;
 pub mod ftgmres;
 pub mod gmres;
-pub mod ilu;
 pub mod operator;
 pub mod ortho;
 pub mod precond;
@@ -74,8 +74,7 @@ pub mod prelude {
     pub use crate::operator::{FnOperator, LinearOperator};
     pub use crate::ortho::OrthoStrategy;
     pub use crate::precond::{
-        BuiltPrecond, ChebyshevPrecond, FaultedPrecond, IdentityPrecond, JacobiPrecond,
-        PrecondKind, Preconditioner,
+        BuiltPrecond, ChebyshevPrecond, FaultedPrecond, JacobiPrecond, PrecondKind,
     };
     pub use crate::telemetry::{SolveOutcome, SolveReport, SolveSummary, SummaryValue};
     pub use sdc_dense::lstsq::LstsqPolicy;

@@ -27,8 +27,10 @@
 //! orthogonalization value above the operator-norm bound must be
 //! corrupt — carries over verbatim to the preconditioned operator.
 
+use crate::fgmres::{FlexiblePreconditioner, PrecondReport};
 use crate::operator::{FnOperator, LinearOperator};
 use sdc_faults::{FaultInjector, Kernel, Site};
+use sdc_sparse::ilu::Ilu0Factor;
 use sdc_sparse::norm_est::norm2_est;
 use sdc_sparse::CsrMatrix;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,37 +63,6 @@ where
     })
 }
 
-/// Application of `z = M⁻¹ q`. Implementations may be stateful (`&mut`),
-/// which is what lets an inner iterative solve act as a preconditioner.
-pub trait Preconditioner {
-    /// Computes `z = M⁻¹ q`.
-    fn apply(&mut self, q: &[f64], z: &mut [f64]);
-
-    /// One-time preparation before the first [`Preconditioner::apply`]
-    /// (e.g. a factorization or a spectrum estimate). The concrete types
-    /// here do their setup in their constructors, so the default is a
-    /// no-op; adaptive implementations can override it.
-    fn setup(&mut self) {}
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str {
-        "preconditioner"
-    }
-}
-
-/// The identity preconditioner: `z = q`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IdentityPrecond;
-
-impl Preconditioner for IdentityPrecond {
-    fn apply(&mut self, q: &[f64], z: &mut [f64]) {
-        z.copy_from_slice(q);
-    }
-    fn name(&self) -> &'static str {
-        "identity"
-    }
-}
-
 /// Jacobi (diagonal) preconditioner: `z_i = q_i / d_i`.
 #[derive(Clone, Debug)]
 pub struct JacobiPrecond {
@@ -113,23 +84,13 @@ impl JacobiPrecond {
         Self::from_diagonal(&a.diagonal())
     }
 
-    /// Computes `z = D⁻¹ q` (the stateless core of
-    /// [`Preconditioner::apply`]). Element-wise, bitwise
+    /// Computes `z = D⁻¹ q`. Element-wise, bitwise
     /// thread-count-independent.
     pub fn solve(&self, q: &[f64], z: &mut [f64]) {
         assert_eq!(q.len(), self.inv_diag.len(), "jacobi: size mismatch");
         for i in 0..q.len() {
             z[i] = q[i] * self.inv_diag[i];
         }
-    }
-}
-
-impl Preconditioner for JacobiPrecond {
-    fn apply(&mut self, q: &[f64], z: &mut [f64]) {
-        self.solve(q, z)
-    }
-    fn name(&self) -> &'static str {
-        "jacobi"
     }
 }
 
@@ -185,11 +146,6 @@ impl ChebyshevPrecond {
         Self { a: a.clone(), degree, theta: (lmax + lmin) / 2.0, delta: (lmax - lmin) / 2.0 }
     }
 
-    /// Builds with [`CHEBYSHEV_DEFAULT_DEGREE`].
-    pub fn with_default_degree(a: &CsrMatrix) -> Self {
-        Self::new(a, CHEBYSHEV_DEFAULT_DEGREE)
-    }
-
     /// The polynomial degree (applications of `A` per solve).
     pub fn degree(&self) -> usize {
         self.degree
@@ -202,8 +158,7 @@ impl ChebyshevPrecond {
         (self.theta, self.delta)
     }
 
-    /// Computes `z = p(A)·q` (the stateless core of
-    /// [`Preconditioner::apply`]).
+    /// Computes `z = p(A)·q`.
     ///
     /// Step 1 sets `z₁ = d₁ = q/θ`; each later step is one phase of a
     /// [`sdc_dense::team()`] region over the chunks of `d`, fusing the
@@ -289,15 +244,6 @@ impl ZBuffers {
     }
 }
 
-impl Preconditioner for ChebyshevPrecond {
-    fn apply(&mut self, q: &[f64], z: &mut [f64]) {
-        self.solve(q, z)
-    }
-    fn name(&self) -> &'static str {
-        "chebyshev"
-    }
-}
-
 /// The preconditioner axis exposed to specs, CLIs and the solve
 /// service — the `SparseFormat` pattern applied to preconditioning.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -365,7 +311,7 @@ pub enum BuiltPrecond {
     /// Diagonal scaling.
     Jacobi(JacobiPrecond),
     /// ILU(0) triangular solves.
-    Ilu0(crate::ilu::Ilu0),
+    Ilu0(Ilu0Factor),
     /// Chebyshev polynomial applications.
     Chebyshev(ChebyshevPrecond),
 }
@@ -378,10 +324,10 @@ impl BuiltPrecond {
             PrecondKind::None => BuiltPrecond::None,
             PrecondKind::Jacobi => BuiltPrecond::Jacobi(JacobiPrecond::from_matrix(a)),
             PrecondKind::Ilu0 => BuiltPrecond::Ilu0(
-                crate::ilu::Ilu0::factor(a).map_err(|e| format!("precond build failed: {e}"))?,
+                Ilu0Factor::factor(a).map_err(|e| format!("precond build failed: {e}"))?,
             ),
             PrecondKind::Chebyshev => {
-                BuiltPrecond::Chebyshev(ChebyshevPrecond::with_default_degree(a))
+                BuiltPrecond::Chebyshev(ChebyshevPrecond::new(a, CHEBYSHEV_DEFAULT_DEGREE))
             }
         })
     }
@@ -446,18 +392,17 @@ impl BuiltPrecond {
     }
 }
 
-impl Preconditioner for BuiltPrecond {
-    fn apply(&mut self, q: &[f64], z: &mut [f64]) {
-        self.solve(q, z)
-    }
-    fn name(&self) -> &'static str {
-        self.kind().as_str()
-    }
-}
-
-impl Preconditioner for &BuiltPrecond {
-    fn apply(&mut self, q: &[f64], z: &mut [f64]) {
-        self.solve(q, z)
+/// A built preconditioner is a constant flexible one: every `M_j` is the
+/// same `M`, and the apply reports no inner work.
+impl FlexiblePreconditioner for &BuiltPrecond {
+    fn apply_flexible(
+        &mut self,
+        _outer_iteration: usize,
+        q: &[f64],
+        z: &mut [f64],
+    ) -> PrecondReport {
+        self.solve(q, z);
+        PrecondReport::default()
     }
     fn name(&self) -> &'static str {
         self.kind().as_str()
@@ -507,9 +452,8 @@ impl<'a> FaultedPrecond<'a> {
 
     fn corrupt_stored_factors(&self) -> Option<BuiltPrecond> {
         let BuiltPrecond::Ilu0(f) = self.base else { return None };
-        let mut values = f.factor_data().values().to_vec();
-        let mut changed = false;
-        for (k, v) in values.iter_mut().enumerate() {
+        let mut corrupted: Option<Ilu0Factor> = None;
+        for (k, &v) in f.values().iter().enumerate() {
             let site = Site {
                 kernel: Kernel::Precond,
                 outer_iteration: 0,
@@ -517,18 +461,12 @@ impl<'a> FaultedPrecond<'a> {
                 inner_iteration: 0,
                 loop_index: k + 1,
             };
-            let corrupted = self.injector.corrupt(site, *v);
-            if corrupted.to_bits() != v.to_bits() {
-                *v = corrupted;
-                changed = true;
+            let c = self.injector.corrupt(site, v);
+            if c.to_bits() != v.to_bits() {
+                corrupted.get_or_insert_with(|| f.clone()).values_mut()[k] = c;
             }
         }
-        if !changed {
-            return None;
-        }
-        let mut factor = f.factor_data().clone();
-        factor.values_mut().copy_from_slice(&values);
-        Some(BuiltPrecond::Ilu0(crate::ilu::Ilu0::from_factor(factor)))
+        corrupted.map(BuiltPrecond::Ilu0)
     }
 
     /// One preconditioner application inside inner solve `solve`, the
@@ -576,38 +514,27 @@ mod tests {
     use sdc_sparse::gallery;
 
     #[test]
-    fn identity_copies() {
-        let mut p = IdentityPrecond;
-        let q = [1.0, 2.0, 3.0];
-        let mut z = [0.0; 3];
-        p.setup();
-        p.apply(&q, &mut z);
-        assert_eq!(z, q);
-        assert_eq!(p.name(), "identity");
-    }
-
-    #[test]
     fn jacobi_divides_by_diagonal() {
-        let mut p = JacobiPrecond::from_diagonal(&[2.0, 4.0, 0.5]);
+        let p = JacobiPrecond::from_diagonal(&[2.0, 4.0, 0.5]);
         let mut z = [0.0; 3];
-        p.apply(&[2.0, 4.0, 0.5], &mut z);
+        p.solve(&[2.0, 4.0, 0.5], &mut z);
         assert_eq!(z, [1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn jacobi_zero_diagonal_falls_back_to_identity() {
-        let mut p = JacobiPrecond::from_diagonal(&[0.0, 2.0]);
+        let p = JacobiPrecond::from_diagonal(&[0.0, 2.0]);
         let mut z = [0.0; 2];
-        p.apply(&[3.0, 4.0], &mut z);
+        p.solve(&[3.0, 4.0], &mut z);
         assert_eq!(z, [3.0, 2.0]);
     }
 
     #[test]
     fn jacobi_from_matrix() {
         let a = sdc_sparse::gallery::poisson1d(3);
-        let mut p = JacobiPrecond::from_matrix(&a);
+        let p = JacobiPrecond::from_matrix(&a);
         let mut z = [0.0; 3];
-        p.apply(&[2.0, 2.0, 2.0], &mut z);
+        p.solve(&[2.0, 2.0, 2.0], &mut z);
         assert_eq!(z, [1.0, 1.0, 1.0]);
     }
 
@@ -622,21 +549,67 @@ mod tests {
         assert_eq!(PrecondKind::default(), PrecondKind::None);
     }
 
+    fn b_for(a: &CsrMatrix) -> Vec<f64> {
+        let ones = vec![1.0; a.ncols()];
+        let mut b = vec![0.0; a.nrows()];
+        a.spmv(&ones, &mut b);
+        b
+    }
+
+    /// `‖b − A·M⁻¹b‖₂ / ‖b‖₂`: how far one application of `p` gets from
+    /// the zero guess.
+    fn one_apply_rel_residual(a: &CsrMatrix, b: &[f64], p: &BuiltPrecond) -> f64 {
+        let mut z = vec![0.0; a.nrows()];
+        p.solve(b, &mut z);
+        assert!(z.iter().all(|v| v.is_finite()));
+        let mut r = vec![0.0; a.nrows()];
+        crate::operator::residual(a, b, &z, &mut r);
+        sdc_dense::vector::nrm2(&r) / sdc_dense::vector::nrm2(b)
+    }
+
     #[test]
     fn chebyshev_reduces_residual_on_poisson() {
         let a = gallery::poisson2d(12);
-        let n = a.nrows();
-        let ones = vec![1.0; n];
-        let mut b = vec![0.0; n];
-        a.spmv(&ones, &mut b);
-        let p = ChebyshevPrecond::with_default_degree(&a);
-        let mut z = vec![0.0; n];
-        p.solve(&b, &mut z);
-        let mut r = vec![0.0; n];
-        crate::operator::residual(&a, &b, &z, &mut r);
-        let rel = sdc_dense::vector::nrm2(&r) / sdc_dense::vector::nrm2(&b);
+        let p = PrecondKind::Chebyshev.build(&a).unwrap();
+        let rel = one_apply_rel_residual(&a, &b_for(&a), &p);
         assert!(rel < 0.8, "Chebyshev application made no progress: rel residual {rel}");
-        assert!(z.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn ilu0_residual_small_on_poisson2d() {
+        // On the 5-point stencil ILU(0) is approximate, but one
+        // application of M⁻¹ must substantially reduce the residual
+        // relative to the zero guess.
+        let a = gallery::poisson2d(12);
+        let p = PrecondKind::Ilu0.build(&a).unwrap();
+        let rel = one_apply_rel_residual(&a, &b_for(&a), &p);
+        assert!(rel < 0.5, "ILU(0) preconditioner too weak: rel residual {rel}");
+    }
+
+    #[test]
+    fn ilu0_accelerates_gmres() {
+        use crate::gmres::{gmres_solve, GmresConfig};
+        let a = gallery::convection_diffusion_2d(16, 3.0, 1.0);
+        let b = b_for(&a);
+        let cfg = GmresConfig { tol: 1e-9, max_iters: 300, ..Default::default() };
+        let (_, plain) = gmres_solve(&a, &b, None, &cfg);
+
+        // Right-preconditioned operator A·M⁻¹ solved for u, x = M⁻¹u.
+        let p = PrecondKind::Ilu0.build(&a).unwrap();
+        assert!(matches!(p, BuiltPrecond::Ilu0(_)));
+        let op = right_preconditioned(&a, |u, z, _| p.solve(u, z));
+        let (u, pre) = gmres_solve(&op, &b, None, &cfg);
+        let mut x = vec![0.0; a.nrows()];
+        p.solve(&u, &mut x);
+        assert!(pre.outcome.is_converged());
+        let err: f64 = x.iter().map(|v| (v - 1.0).abs()).fold(0.0, f64::max);
+        assert!(err < 1e-6, "preconditioned solution error {err}");
+        assert!(
+            pre.iterations * 2 < plain.iterations,
+            "ILU(0) must at least halve the iterations: {} vs {}",
+            pre.iterations,
+            plain.iterations
+        );
     }
 
     #[test]
@@ -649,11 +622,17 @@ mod tests {
             assert_eq!(built.kind(), kind);
             let mut z1 = vec![0.0; n];
             built.solve(&q, &mut z1);
-            let mut z2 = vec![0.0; n];
+            // The flexible adapter is the plain solve at every outer
+            // iteration, with nothing to report.
             let mut by_ref = &built;
-            by_ref.apply(&q, &mut z2);
-            for i in 0..n {
-                assert_eq!(z1[i].to_bits(), z2[i].to_bits());
+            assert_eq!(by_ref.name(), kind.as_str());
+            for j in [1, 2, 7] {
+                let mut z2 = vec![f64::NAN; n];
+                let rep = by_ref.apply_flexible(j, &q, &mut z2);
+                for i in 0..n {
+                    assert_eq!(z1[i].to_bits(), z2[i].to_bits(), "{kind} j={j} i={i}");
+                }
+                assert_eq!(format!("{rep:?}"), format!("{:?}", PrecondReport::default()));
             }
             assert!(built.inv_norm_est(n, 8) >= 0.0);
         }

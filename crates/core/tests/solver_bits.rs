@@ -16,13 +16,11 @@ use sdc_faults::{
 use sdc_gmres::abft::{abft_gmres_solve, AbftGmresConfig};
 use sdc_gmres::arnoldi::arnoldi;
 use sdc_gmres::detector::{DetectorResponse, SdcDetector};
-use sdc_gmres::fgmres::{
-    fgmres_solve, FgmresConfig, FixedPrecond, FlexiblePreconditioner, PrecondReport,
-};
+use sdc_gmres::fgmres::{fgmres_solve, FgmresConfig, FlexiblePreconditioner, PrecondReport};
 use sdc_gmres::ftgmres::{ftgmres_capture, ftgmres_fork, ftgmres_solve_precond, FtGmresConfig};
 use sdc_gmres::gmres::{gmres_solve_instrumented, gmres_solve_right_precond, GmresConfig};
 use sdc_gmres::ortho::OrthoStrategy;
-use sdc_gmres::precond::{JacobiPrecond, PrecondKind};
+use sdc_gmres::precond::{BuiltPrecond, JacobiPrecond, PrecondKind};
 use sdc_gmres::telemetry::SolveReport;
 use sdc_gmres::SiteContext;
 use sdc_obs::trace::TraceSink;
@@ -123,8 +121,8 @@ fn jacobi_fgmres() {
     let b = b_for(&a);
     let cfg = FgmresConfig { tol: 1e-10, max_outer: 300, ..Default::default() };
     let got = fingerprint(|| {
-        let mut p = FixedPrecond(JacobiPrecond::from_matrix(&a));
-        let (x, rep) = fgmres_solve(&a, &b, None, &cfg, &mut p);
+        let p = BuiltPrecond::Jacobi(JacobiPrecond::from_matrix(&a));
+        let (x, rep) = fgmres_solve(&a, &b, None, &cfg, &mut &p);
         assert!(rep.outcome.is_converged(), "{:?}", rep.outcome);
         (x, rep)
     });

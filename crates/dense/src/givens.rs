@@ -48,14 +48,6 @@ impl GivensRotation {
         (self.c * x + self.s * y, -self.s * x + self.c * y)
     }
 
-    /// Applies the rotation in place to two scalars.
-    #[inline]
-    pub fn apply_inplace(&self, x: &mut f64, y: &mut f64) {
-        let (nx, ny) = self.apply(*x, *y);
-        *x = nx;
-        *y = ny;
-    }
-
     /// Applies the rotation to rows `i` and `i+1` of a column vector stored
     /// as a slice — the access pattern of Hessenberg QR updates.
     #[inline]

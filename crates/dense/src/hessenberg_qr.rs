@@ -86,12 +86,6 @@ impl HessenbergQr {
         self.g[self.k()].abs()
     }
 
-    /// Diagonal entry `R[i,i]` of the triangular factor.
-    #[inline]
-    pub fn r_diag(&self, i: usize) -> f64 {
-        self.r_cols[i][i]
-    }
-
     /// The `k × k` upper-triangular factor as a dense matrix.
     pub fn r_matrix(&self) -> DenseMatrix {
         let k = self.k();
@@ -108,11 +102,6 @@ impl HessenbergQr {
     /// `R y = z`).
     pub fn rhs(&self) -> &[f64] {
         &self.g[..self.k()]
-    }
-
-    /// Full rotated right-hand side including the residual entry.
-    pub fn g_full(&self) -> &[f64] {
-        &self.g
     }
 
     /// True if all stored factors are finite — corrupted Hessenberg entries

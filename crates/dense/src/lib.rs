@@ -39,7 +39,6 @@ pub mod hessenberg_qr;
 pub mod householder;
 pub mod lstsq;
 pub mod matrix;
-pub mod norms;
 pub mod simd;
 pub mod svd;
 pub mod triangular;

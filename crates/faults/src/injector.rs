@@ -97,11 +97,6 @@ impl SingleFaultInjector {
         self.state.lock().fired
     }
 
-    /// Number of sites that matched the predicate so far.
-    pub fn match_count(&self) -> u64 {
-        self.state.lock().matches
-    }
-
     /// Resets the counters and records (reuse across solves).
     pub fn reset(&self) {
         let mut st = self.state.lock();

@@ -173,35 +173,12 @@ impl Engine {
     /// Handles one raw frame. Event frames stream through `sink`; the
     /// returned frame is final. Never panics on client input.
     pub fn handle_line(&self, line: &str, sink: &mut dyn FnMut(&Json)) -> Json {
-        let v = match Json::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                self.metrics.protocol_errors.inc();
-                return error_response(
-                    None,
-                    ErrorCode::BadRequest,
-                    format!("malformed frame: {e}"),
-                );
-            }
+        let (req, id) = match self.admit(line) {
+            Ok(admitted) => admitted,
+            Err(resp) => return resp,
         };
-        let id = v.get("id").cloned();
-        let req = match Request::from_json(&v) {
-            Ok(r) => r,
-            Err(e) => {
-                self.metrics.protocol_errors.inc();
-                return error_response(id.as_ref(), ErrorCode::BadRequest, e.msg);
-            }
-        };
-        self.handle(&req, id.as_ref(), sink)
-    }
-
-    /// Handles one parsed request.
-    pub fn handle(&self, req: &Request, id: Option<&Json>, sink: &mut dyn FnMut(&Json)) -> Json {
-        self.metrics.count_request(req.cmd());
-        if let Some(refusal) = self.drain_gate(req, id) {
-            return refusal;
-        }
-        match req {
+        let id = id.as_ref();
+        match &req {
             Request::Solve(r) => self.handle_solve(r, id),
             Request::Campaign(r) => self.handle_campaign(r, id, sink),
             Request::Replicate(r) => self.handle_replicate(r, id),
@@ -209,22 +186,34 @@ impl Engine {
         }
     }
 
-    /// The drain policy: once draining, only observation and
-    /// (idempotent) shutdown are served; new work of any kind — not
-    /// just solves — is refused, so a drain cannot be delayed
+    /// Parses one raw frame into its request and `id`, counting it. A
+    /// malformed frame, or new work while draining, comes back as the
+    /// final error frame instead. The drain policy: once draining, only
+    /// observation and (idempotent) shutdown are served; new work of any
+    /// kind — not just solves — is refused, so a drain cannot be delayed
     /// indefinitely.
-    fn drain_gate(&self, req: &Request, id: Option<&Json>) -> Option<Json> {
+    fn admit(&self, line: &str) -> Result<(Request, Option<Json>), Json> {
+        let v = Json::parse(line).map_err(|e| {
+            self.metrics.protocol_errors.inc();
+            error_response(None, ErrorCode::BadRequest, format!("malformed frame: {e}"))
+        })?;
+        let id = v.get("id").cloned();
+        let req = Request::from_json(&v).map_err(|e| {
+            self.metrics.protocol_errors.inc();
+            error_response(id.as_ref(), ErrorCode::BadRequest, e.msg)
+        })?;
+        self.metrics.count_request(req.cmd());
         if self.shutdown_requested()
             && !matches!(req, Request::Stats | Request::Metrics | Request::List | Request::Shutdown)
         {
-            return Some(error_response(id, ErrorCode::ShuttingDown, "server is draining"));
+            return Err(error_response(id.as_ref(), ErrorCode::ShuttingDown, "server is draining"));
         }
-        None
+        Ok((req, id))
     }
 
     /// The commands that complete without blocking on solvers, peers or
-    /// worker threads. Callers must have already counted the request
-    /// and applied [`Engine::drain_gate`].
+    /// worker threads. Callers must have admitted the request
+    /// ([`Engine::admit`]).
     fn handle_quick(&self, req: &Request, id: Option<&Json>) -> Json {
         match req {
             Request::LoadMatrix(r) => self.handle_load(r, id),
@@ -257,27 +246,10 @@ impl Engine {
     /// attached (the event loop passes a delivery-death probe so a
     /// mid-solve disconnect can trigger a flight-recorder post-mortem).
     pub fn handle_line_async_with(self: &Arc<Self>, line: &str, emit: Emit, hooks: SolveHooks) {
-        let v = match Json::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                self.metrics.protocol_errors.inc();
-                let resp =
-                    error_response(None, ErrorCode::BadRequest, format!("malformed frame: {e}"));
-                return emit(resp, true);
-            }
+        let (req, id) = match self.admit(line) {
+            Ok(admitted) => admitted,
+            Err(resp) => return emit(resp, true),
         };
-        let id = v.get("id").cloned();
-        let req = match Request::from_json(&v) {
-            Ok(r) => r,
-            Err(e) => {
-                self.metrics.protocol_errors.inc();
-                return emit(error_response(id.as_ref(), ErrorCode::BadRequest, e.msg), true);
-            }
-        };
-        self.metrics.count_request(req.cmd());
-        if let Some(refusal) = self.drain_gate(&req, id.as_ref()) {
-            return emit(refusal, true);
-        }
         match req {
             Request::Solve(r) => {
                 let done = {
@@ -553,7 +525,7 @@ impl Engine {
         }
     }
 
-    /// The blocking solve path (offline mode and [`Engine::handle`]):
+    /// The blocking solve path (offline mode and [`Engine::handle_line`]):
     /// submit, then wait for the worker's response.
     fn handle_solve(&self, r: &SolveRequest, id: Option<&Json>) -> Json {
         let (tx, rx) = mpsc::channel::<Json>();
@@ -865,8 +837,7 @@ fn execute_solve(
                 lsq_policy: req.lsq.policy(),
                 ..Default::default()
             };
-            let mut pm = sdc_gmres::fgmres::FixedPrecond(precond);
-            sdc_gmres::fgmres::fgmres_solve(op, b, None, &cfg, &mut pm)
+            sdc_gmres::fgmres::fgmres_solve(op, b, None, &cfg, &mut &*precond)
         }
         SolverKind::FtGmres => {
             let cfg = FtGmresConfig {
@@ -892,9 +863,7 @@ fn execute_solve(
                         // ILU factor slot, or flip one element of a
                         // transient Jacobi/Chebyshev application.
                         FaultTarget::Precond => match precond {
-                            BuiltPrecond::Ilu0(ilu) => {
-                                point.injector_precond_factor(ilu.factor_data().nnz())
-                            }
+                            BuiltPrecond::Ilu0(ilu) => point.injector_precond_factor(ilu.nnz()),
                             _ => point.injector_precond_apply(problem.a.nrows()),
                         },
                     };

@@ -5,8 +5,8 @@
 //! live here in the sparse substrate because they *are* sparse storage:
 //! the combined `L`/`U` values sit on `A`'s exact pattern, and — like
 //! [`crate::FormatMatrix`] — that flat value array is a fault-injection
-//! surface. `sdc_gmres::ilu::Ilu0` wraps this type as a
-//! `Preconditioner`; fault campaigns corrupt stored factor slots through
+//! surface. `sdc_gmres::precond::BuiltPrecond::Ilu0` holds this type
+//! directly; fault campaigns corrupt stored factor slots through
 //! [`Ilu0Factor::values_mut`] exactly as they corrupt matrix values.
 //!
 //! The triangular solves are strictly sequential sweeps (forward

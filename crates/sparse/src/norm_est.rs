@@ -61,12 +61,6 @@ pub fn norm2_est(a: &CsrMatrix, max_iters: usize, rel_tol: f64) -> Norm2Estimate
     Norm2Estimate { value: est, iterations: iters, last_rel_change: change }
 }
 
-/// The default detector bound of the paper: `‖A‖_F` (Eq. 3 right-hand
-/// side) — always an upper bound on every Hessenberg entry.
-pub fn frobenius_bound(a: &CsrMatrix) -> f64 {
-    a.norm_fro()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

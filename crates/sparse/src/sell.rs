@@ -192,13 +192,6 @@ impl SellMatrix {
         self.chunk_ptr.len() - 1
     }
 
-    /// `stored index → original row` of the σ-sort (identity when rows
-    /// were already sorted).
-    #[inline]
-    pub fn stored_to_original(&self) -> &[usize] {
-        self.perm.forward()
-    }
-
     /// Total storage slots including padding.
     #[inline]
     pub fn storage_len(&self) -> usize {

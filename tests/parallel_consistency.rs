@@ -3,12 +3,10 @@
 //! the property that makes the fault-injection campaign's comparisons
 //! meaningful.
 //!
-//! NOTE: with the offline `vendor/rayon` stand-in the `par_*` kernels run
-//! sequentially, so the bitwise assertions here hold trivially. They are
-//! kept because they pin the *contract* these kernels must keep: the day
-//! the real rayon (or any threaded pool) is swapped back in via
-//! `[workspace.dependencies]`, these tests are what catches a reduction
-//! whose result depends on thread count.
+//! The vendored `rayon` façade runs the `par_*` kernels on the
+//! `sdc_parallel` pool (sized by `SDC_THREADS`), so these assertions
+//! compare threaded runs against the serial kernels: they catch a
+//! reduction whose result depends on thread count.
 
 use sdc_repro::dense::vector;
 use sdc_repro::prelude::*;

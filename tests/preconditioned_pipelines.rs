@@ -4,8 +4,9 @@
 
 use sdc_repro::dense::vector;
 use sdc_repro::prelude::*;
-use sdc_repro::solvers::fgmres::{fgmres_solve, FgmresConfig, FixedPrecond};
-use sdc_repro::solvers::ilu::Ilu0;
+use sdc_repro::solvers::fgmres::{
+    fgmres_solve, FgmresConfig, FlexiblePreconditioner, PrecondReport,
+};
 use sdc_repro::sparse::perm::{reverse_cuthill_mckee, Permutation};
 use sdc_repro::sparse::structure::bandwidth;
 
@@ -35,8 +36,13 @@ impl Ssor {
     }
 }
 
-impl Preconditioner for Ssor {
-    fn apply(&mut self, q: &[f64], z: &mut [f64]) {
+impl FlexiblePreconditioner for Ssor {
+    fn apply_flexible(
+        &mut self,
+        _outer_iteration: usize,
+        q: &[f64],
+        z: &mut [f64],
+    ) -> PrecondReport {
         let n = self.a.nrows();
         assert_eq!(q.len(), n);
         assert_eq!(z.len(), n);
@@ -63,6 +69,7 @@ impl Preconditioner for Ssor {
             }
             z[i] = s * self.inv_diag[i] * w;
         }
+        PrecondReport::default()
     }
     fn name(&self) -> &'static str {
         "ssor"
@@ -96,10 +103,9 @@ fn rcm_then_ilu_then_fgmres_full_pipeline() {
     let b_orig = b_for(&a);
     let b_shuffled = shuffle.apply_vec(&b_orig);
     let b_reordered = rcm.apply_vec(&b_shuffled);
-    let ilu = Ilu0::factor(&reordered).expect("ILU(0) on reordered operator");
+    let ilu = PrecondKind::Ilu0.build(&reordered).expect("ILU(0) on reordered operator");
     let cfg = FgmresConfig { tol: 1e-10, max_outer: 200, ..Default::default() };
-    let (x_reordered, rep) =
-        fgmres_solve(&reordered, &b_reordered, None, &cfg, &mut FixedPrecond(ilu));
+    let (x_reordered, rep) = fgmres_solve(&reordered, &b_reordered, None, &cfg, &mut &ilu);
     assert!(rep.outcome.is_converged(), "{:?}", rep.outcome);
 
     // Undo both permutations and compare with the ones solution.
@@ -114,15 +120,9 @@ fn ilu_preconditioned_fgmres_beats_unpreconditioned() {
     let a = gallery::anisotropic_poisson2d(16, 0.05);
     let b = b_for(&a);
     let cfg = FgmresConfig { tol: 1e-9, max_outer: 400, ..Default::default() };
-    let (_, plain) = fgmres_solve(
-        &a,
-        &b,
-        None,
-        &cfg,
-        &mut FixedPrecond(sdc_repro::solvers::precond::IdentityPrecond),
-    );
-    let ilu = Ilu0::factor(&a).unwrap();
-    let (x, pre) = fgmres_solve(&a, &b, None, &cfg, &mut FixedPrecond(ilu));
+    let (_, plain) = fgmres_solve(&a, &b, None, &cfg, &mut &BuiltPrecond::None);
+    let ilu = PrecondKind::Ilu0.build(&a).unwrap();
+    let (x, pre) = fgmres_solve(&a, &b, None, &cfg, &mut &ilu);
     assert!(pre.outcome.is_converged());
     assert!(
         pre.iterations * 2 <= plain.iterations.max(2),
@@ -162,7 +162,7 @@ fn ssor_inside_ftgmres_inner_runs_through_faults() {
     assert!(err < 1e-6);
 
     // Sanity: the SSOR preconditioner itself composes with FGMRES.
-    let (y, rep2) = fgmres_solve(&a, &b, None, &cfg.outer, &mut FixedPrecond(Ssor::new(&a, 1.3)));
+    let (y, rep2) = fgmres_solve(&a, &b, None, &cfg.outer, &mut Ssor::new(&a, 1.3));
     assert!(rep2.outcome.is_converged());
     let err: f64 = y.iter().map(|v| (v - 1.0).abs()).fold(0.0, f64::max);
     assert!(err < 1e-6);
@@ -174,7 +174,7 @@ fn ssor_reduces_error_as_preconditioner() {
     let b = b_for(&a);
     let mut p = Ssor::new(&a, 1.2);
     let mut z = vec![0.0; a.nrows()];
-    p.apply(&b, &mut z);
+    p.apply_flexible(1, &b, &mut z);
     // One SSOR application is a rough solve: error well below the
     // trivial z=0 guess.
     let err0 = vector::nrm2(&vec![1.0; a.nrows()]);
@@ -190,14 +190,12 @@ fn ssor_in_fgmres() {
     let a = gallery::poisson2d(12);
     let b = b_for(&a);
     let cfg = FgmresConfig { tol: 1e-9, max_outer: 300, ..Default::default() };
-    let mut p = FixedPrecond(Ssor::new(&a, 1.5));
-    let (x, rep) = fgmres_solve(&a, &b, None, &cfg, &mut p);
+    let (x, rep) = fgmres_solve(&a, &b, None, &cfg, &mut Ssor::new(&a, 1.5));
     assert!(rep.outcome.is_converged(), "{:?}", rep.outcome);
     let err: f64 = x.iter().map(|v| (v - 1.0).abs()).fold(0.0, f64::max);
     assert!(err < 1e-6);
     // It should beat identity preconditioning.
-    let mut ident = FixedPrecond(IdentityPrecond);
-    let (_, plain) = fgmres_solve(&a, &b, None, &cfg, &mut ident);
+    let (_, plain) = fgmres_solve(&a, &b, None, &cfg, &mut &BuiltPrecond::None);
     assert!(rep.iterations < plain.iterations, "{} vs {}", rep.iterations, plain.iterations);
 }
 

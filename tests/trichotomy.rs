@@ -4,9 +4,8 @@
 
 use sdc_repro::prelude::*;
 use sdc_repro::solvers::fgmres::{
-    fgmres_solve, FgmresConfig, FixedPrecond, FlexiblePreconditioner, PrecondReport,
+    fgmres_solve, FgmresConfig, FlexiblePreconditioner, PrecondReport,
 };
-use sdc_repro::solvers::precond::IdentityPrecond;
 
 #[test]
 fn converges_on_regular_problem() {
@@ -15,7 +14,7 @@ fn converges_on_regular_problem() {
     let mut b = vec![0.0; a.nrows()];
     a.par_spmv(&ones, &mut b);
     let cfg = FgmresConfig { tol: 1e-9, max_outer: 150, ..Default::default() };
-    let (_, rep) = fgmres_solve(&a, &b, None, &cfg, &mut FixedPrecond(IdentityPrecond));
+    let (_, rep) = fgmres_solve(&a, &b, None, &cfg, &mut &BuiltPrecond::None);
     assert_eq!(rep.outcome, SolveOutcome::Converged);
 }
 
@@ -26,7 +25,7 @@ fn invariant_subspace_detected_on_identity() {
     let a = CsrMatrix::identity(30);
     let b: Vec<f64> = (0..30).map(|i| (i as f64 * 0.7).sin() + 2.0).collect();
     let cfg = FgmresConfig { tol: 1e-12, max_outer: 10, ..Default::default() };
-    let (x, rep) = fgmres_solve(&a, &b, None, &cfg, &mut FixedPrecond(IdentityPrecond));
+    let (x, rep) = fgmres_solve(&a, &b, None, &cfg, &mut &BuiltPrecond::None);
     assert!(
         matches!(rep.outcome, SolveOutcome::InvariantSubspace | SolveOutcome::Converged),
         "{:?}",
@@ -97,7 +96,7 @@ fn singular_operator_reports_loudly() {
     let a = gallery::laplacian_path_graph(40);
     let b = vec![1.0; 40]; // constant vector: not in range(L) (sum ≠ 0 component)
     let cfg = FgmresConfig { tol: 1e-10, max_outer: 45, ..Default::default() };
-    let (_, rep) = fgmres_solve(&a, &b, None, &cfg, &mut FixedPrecond(IdentityPrecond));
+    let (_, rep) = fgmres_solve(&a, &b, None, &cfg, &mut &BuiltPrecond::None);
     assert!(
         matches!(
             rep.outcome,
