@@ -10,9 +10,8 @@
 //!
 //! Usage: `ablation_lsq [--quick]`
 
-use sdc_bench::campaign::{failure_free, run_sweep, CampaignConfig};
-use sdc_bench::problems;
 use sdc_bench::render::CliArgs;
+use sdc_campaigns::{failure_free, problems, run_sweep, CampaignConfig};
 use sdc_dense::lstsq::{solve_projected, LstsqPolicy};
 use sdc_dense::matrix::DenseMatrix;
 use sdc_dense::vector;

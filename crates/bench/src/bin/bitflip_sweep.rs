@@ -15,8 +15,8 @@
 //! Usage: `bitflip_sweep [--quick]`
 
 use rayon::prelude::*;
-use sdc_bench::problems;
 use sdc_bench::render::CliArgs;
+use sdc_campaigns::problems;
 use sdc_faults::bitflip::{bitflip_anatomy, summarize_against_bound, BitRegion};
 use sdc_faults::trigger::LoopPosition;
 use sdc_faults::{FaultModel, SingleFaultInjector, SitePredicate, Trigger};

@@ -7,9 +7,6 @@
 //! ASCII figures, aligned tables, CSV emitters — plus the thin figure,
 //! table and `campaign` binaries on top.
 //!
-//! * [`campaign`] / [`problems`] — re-exports of the engine's sweep
-//!   driver and evaluation problems (their original home; kept so
-//!   `sdc_bench::campaign::run_sweep` etc. keep working).
 //! * [`figure`] — the Figure-3/Figure-4 driver, now a front-end that
 //!   runs a paper-shaped campaign through the engine and renders the
 //!   resulting artifact.
@@ -19,19 +16,6 @@
 //! matrix (CI-friendly) and `--csv DIR` to dump raw data; the sweep
 //! binaries also accept `--out PATH` to keep the JSONL artifact.
 
-/// The single-SDC sweep driver (re-exported from `sdc_campaigns`).
-pub mod campaign {
-    pub use sdc_campaigns::sweep::*;
-}
-
-/// The evaluation problems (re-exported from `sdc_campaigns`).
-pub mod problems {
-    pub use sdc_campaigns::problems::*;
-}
-
 pub mod baseline;
 pub mod figure;
 pub mod render;
-
-pub use campaign::{failure_free, run_sweep, CampaignConfig, SweepPoint, SweepResult};
-pub use problems::Problem;

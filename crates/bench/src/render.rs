@@ -5,7 +5,7 @@
 //! iteration, with vertical guides at inner-solve boundaries ("vertical
 //! bars indicate the start of a new inner solve").
 
-use crate::campaign::SweepResult;
+use sdc_campaigns::SweepResult;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::Path;
@@ -90,7 +90,7 @@ pub fn ascii_plot(res: &SweepResult, inner_per_outer: usize, width: usize) -> St
 
 /// Writes a sweep series as CSV: `aggregate,outer,converged,injected,detected,restarts,true_rel_residual`.
 ///
-/// Floats are written with [`sdc_campaigns::json::fmt_f64`]: the
+/// Floats are written with `sdc_obs::json::fmt_f64`: the
 /// shortest representation that parses back to the identical bits, so
 /// re-running a deterministic sweep reproduces the CSV byte for byte.
 pub fn write_sweep_csv(path: &Path, res: &SweepResult) -> std::io::Result<()> {
@@ -226,7 +226,7 @@ impl CliArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::SweepPoint;
+    use sdc_campaigns::SweepPoint;
     use sdc_faults::campaign::{FaultClass, MgsPosition};
 
     fn sample_result() -> SweepResult {

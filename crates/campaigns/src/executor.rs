@@ -45,7 +45,7 @@ use crate::sweep::{clean_run, fork_boundary, run_experiment};
 use rayon::prelude::*;
 use sdc_faults::campaign::CampaignPoint;
 use sdc_gmres::ftgmres::CleanFtGmres;
-use sdc_gmres::prelude::FtGmresConfig;
+use sdc_gmres::prelude::{BuiltPrecond, FtGmresConfig};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Write;
@@ -239,6 +239,20 @@ impl<'a> ProblemCache<'a> {
     fn get(&self, i: usize) -> &Problem {
         self.cells[i].get_or_init(|| self.spec.problems[i].build())
     }
+
+    /// Problem `i`'s preconditioner of the spec's kind, built on first
+    /// use. A matrix it cannot be built on (ILU(0) without a diagonal
+    /// entry) makes the spec invalid; callers resolve it before the
+    /// first solve on the problem, so that is an error, not a panic.
+    fn precond(&self, i: usize) -> Result<&BuiltPrecond, RunError> {
+        let p = self.get(i);
+        p.precond(self.spec.precond).map_err(|e| {
+            RunError::InvalidSpec(format!(
+                "precond {} cannot be built on problem {i} ({}): {e}",
+                self.spec.precond, p.name
+            ))
+        })
+    }
 }
 
 /// Expands the spec, solving (or reusing) the baselines it needs.
@@ -260,6 +274,7 @@ fn expand(
             cleans.push(None);
             continue;
         }
+        problems.precond(pidx)?;
         let problem = problems.get(pidx);
         if !quiet {
             eprintln!(
@@ -475,19 +490,18 @@ pub fn run(
     // Shard and run the remaining units.
     let todo = &plan.units[completed_units.min(plan.units.len())..];
 
-    // One solver configuration per scenario, built once — but not at
-    // all when the artifact is already complete.
-    let ft_configs: Vec<FtGmresConfig> = if todo.is_empty() {
+    // One solver configuration and preconditioner per scenario, built
+    // once — but not at all when the artifact is already complete.
+    let ft_configs: Vec<(FtGmresConfig, &BuiltPrecond)> = if todo.is_empty() {
         Vec::new()
     } else {
         plan.scenarios
             .iter()
             .map(|s| {
-                let cfg = spec.campaign_config(s);
-                let p = problems.get(s.problem);
-                cfg.ft_config_with(&p.a, cfg.precond(p))
+                let (p, pc) = (problems.get(s.problem), problems.precond(s.problem)?);
+                Ok((spec.campaign_config(s).ft_config_with(&p.a, pc), pc))
             })
-            .collect()
+            .collect::<Result<_, RunError>>()?
     };
     let budget = opts.max_units.unwrap_or(usize::MAX);
     let mut ran = 0usize;
@@ -537,12 +551,9 @@ pub fn run(
                     position: s.position,
                 };
                 let p = problems.get(s.problem);
-                let ft = &ft_configs[u.scenario_idx];
+                let (ft, pc) = &ft_configs[u.scenario_idx];
                 let clean = plan.cleans[plan.scenario_keys[u.scenario_idx]].as_ref();
-                let solve = || {
-                    let pc = p.precond(spec.precond).expect("validated at plan time");
-                    run_experiment(p, ft, point, spec.format, pc, clean)
-                };
+                let solve = || run_experiment(p, ft, point, spec.format, pc, clean);
                 // Per-unit capture on the claiming thread: the solve
                 // orchestration (and thus every Det event) runs here, so
                 // the captured lines are independent of the thread count.
@@ -731,6 +742,49 @@ mod tests {
         assert_eq!(sum.ran_units, 0);
         assert_eq!(std::fs::read(&path).unwrap(), before);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unbuildable_precond_is_an_invalid_spec_not_a_panic() {
+        // Row 2 has no diagonal entry, so ILU(0) cannot be built on it.
+        let mtx = std::env::temp_dir().join(format!("sdc_exec_nodiag_{}.mtx", std::process::id()));
+        let nodiag = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4\n2 1 -1\n";
+        std::fs::write(&mtx, nodiag).unwrap();
+        let spec = CampaignSpec {
+            precond: PrecondKind::Ilu0,
+            ..CampaignSpec::paper_shape(
+                "nodiag",
+                vec![ProblemSpec::MatrixMarket { path: mtx.clone(), equilibrate: false }],
+            )
+        };
+        let quiet = RunOptions { quiet: true, ..Default::default() };
+        let expect_invalid = |r: Result<RunSummary, RunError>| match r {
+            Err(RunError::InvalidSpec(msg)) => {
+                assert!(msg.contains("ilu0") && msg.contains("problem 0"), "{msg}")
+            }
+            other => panic!("{other:?}"),
+        };
+
+        // A fresh run fails at its first baseline, before creating the file.
+        let path = tmp("nodiag");
+        std::fs::remove_file(&path).ok();
+        expect_invalid(run(&spec, &path, false, &quiet));
+        assert!(!path.exists());
+
+        // A resume whose artifact already holds every baseline fails
+        // before its first fork clean, and leaves the file as it was.
+        let problems = ProblemCache::new(&spec);
+        let mut preamble =
+            vec![Record::Header { spec: spec.clone() }, problem_record(&spec, 0, problems.get(0))];
+        for (problem, lsq) in spec.baseline_keys() {
+            preamble.push(Record::Baseline { problem, lsq, outer_iterations: 3, converged: true });
+        }
+        let text: String = preamble.iter().map(|r| r.to_line() + "\n").collect();
+        std::fs::write(&path, &text).unwrap();
+        expect_invalid(run(&spec, &path, true, &quiet));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&mtx).ok();
     }
 
     #[test]

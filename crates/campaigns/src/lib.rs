@@ -7,8 +7,8 @@
 //! sweeps from one-shot binaries into a subsystem:
 //!
 //! * [`spec`] — a [`spec::CampaignSpec`] describes a full scenario grid
-//!   as data, serialized with the dependency-free [`json`] module (the
-//!   build container is offline; there is no serde).
+//!   as data, serialized with the workspace's JSON codec [`json`]
+//!   (`sdc_obs::json`, re-exported here).
 //! * [`executor`] — expands the spec into a deterministic unit sequence,
 //!   runs units in genuinely parallel shards (real threads), and streams one JSONL
 //!   record per completed experiment to an artifact file whose bytes are
@@ -19,11 +19,10 @@
 //! * [`report`] — reconstructs [`sweep::SweepResult`] series,
 //!   Table-1-style characteristics and cross-run diffs from a stored
 //!   artifact alone, with no re-solving.
-//! * [`sweep`] — the raw single-series sweep driver (previously
-//!   `sdc_bench::campaign`), shared by the executor and by callers that
-//!   want results in memory without an artifact.
-//! * [`problems`] — the evaluation problems (previously
-//!   `sdc_bench::problems`).
+//! * [`sweep`] — the raw single-series sweep driver, shared by the
+//!   executor and by callers that want results in memory without an
+//!   artifact.
+//! * [`problems`] — the evaluation problems.
 //! * [`cli`] — the minimal flag parser shared by every experiment
 //!   binary.
 //!
@@ -34,16 +33,14 @@
 pub mod artifact;
 pub mod cli;
 pub mod executor;
-pub mod json;
 pub mod problems;
 pub mod report;
 pub mod spec;
-pub mod summary;
 pub mod sweep;
 
 pub use executor::{run, ProgressHook, RunError, RunOptions, RunSummary};
 pub use problems::Problem;
 pub use report::{render_diff, render_report, CampaignData};
+pub use sdc_obs::json;
 pub use spec::{CampaignSpec, DetectorPolicy, GridBlock, LsqSpec, ProblemSpec, Scenario};
-pub use summary::summary_json;
 pub use sweep::{failure_free, run_sweep, CampaignConfig, SweepPoint, SweepResult};

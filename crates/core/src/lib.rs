@@ -61,6 +61,7 @@ pub mod gmres;
 pub mod operator;
 pub mod ortho;
 pub mod precond;
+mod summary;
 pub mod telemetry;
 
 /// Convenient glob-import surface.
@@ -76,7 +77,7 @@ pub mod prelude {
     pub use crate::precond::{
         BuiltPrecond, ChebyshevPrecond, FaultedPrecond, JacobiPrecond, PrecondKind,
     };
-    pub use crate::telemetry::{SolveOutcome, SolveReport, SolveSummary, SummaryValue};
+    pub use crate::telemetry::{SolveOutcome, SolveReport, SolveSummary};
     pub use sdc_dense::lstsq::LstsqPolicy;
 }
 

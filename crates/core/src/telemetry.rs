@@ -142,9 +142,8 @@ impl Default for SolveReport {
 /// Every consumer that turns a report into text or JSON — the
 /// experiment binaries, the `sdc_server` wire protocol —
 /// goes through this one type, so field names and outcome labels cannot
-/// drift between surfaces. The crate stays dependency-free: rendering to
-/// a concrete JSON value lives with the JSON implementation
-/// (`sdc_campaigns::summary`), which consumes [`SolveSummary::fields`].
+/// drift between surfaces; [`SolveSummary::to_json`] is its one JSON
+/// rendering.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolveSummary {
     /// Stable outcome label ([`SolveOutcome::label`]).
@@ -171,20 +170,6 @@ pub struct SolveSummary {
     pub inner_rejections: usize,
 }
 
-/// One summary field value; keeps the field list typed without pulling a
-/// JSON implementation into this crate.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SummaryValue {
-    /// A count.
-    Count(usize),
-    /// A norm or residual.
-    Float(f64),
-    /// A flag.
-    Bool(bool),
-    /// A label or message.
-    Text(String),
-}
-
 impl SolveSummary {
     /// Digests a report.
     pub fn from_report(rep: &SolveReport) -> Self {
@@ -201,30 +186,6 @@ impl SolveSummary {
             injections: rep.injections.len(),
             inner_rejections: rep.inner_rejections,
         }
-    }
-
-    /// The summary as named fields, in a stable order. Optional fields
-    /// (`detail`, `true_residual_norm`) are omitted when absent, so a
-    /// serialization of the same solve is identical run to run.
-    pub fn fields(&self) -> Vec<(&'static str, SummaryValue)> {
-        let mut out = vec![
-            ("outcome", SummaryValue::Text(self.outcome.to_string())),
-            ("converged", SummaryValue::Bool(self.converged)),
-            ("iterations", SummaryValue::Count(self.iterations)),
-            ("total_inner_iterations", SummaryValue::Count(self.total_inner_iterations)),
-            ("residual_norm", SummaryValue::Float(self.residual_norm)),
-            ("detector_events", SummaryValue::Count(self.detector_events)),
-            ("detector_restarts", SummaryValue::Count(self.detector_restarts)),
-            ("injections", SummaryValue::Count(self.injections)),
-            ("inner_rejections", SummaryValue::Count(self.inner_rejections)),
-        ];
-        if let Some(t) = self.true_residual_norm {
-            out.push(("true_residual_norm", SummaryValue::Float(t)));
-        }
-        if let Some(d) = &self.detail {
-            out.push(("detail", SummaryValue::Text(d.clone())));
-        }
-        out
     }
 
     /// One-line human rendering (the experiment binaries' format).
@@ -298,16 +259,16 @@ mod tests {
         assert_eq!(s.outcome, "converged");
         assert!(s.converged);
         assert_eq!(s.iterations, 9);
-        let names: Vec<&str> = s.fields().iter().map(|(k, _)| *k).collect();
-        assert!(!names.contains(&"true_residual_norm"));
-        assert!(!names.contains(&"detail"));
+        let j = s.to_json();
+        assert!(j.get("true_residual_norm").is_none());
+        assert!(j.get("detail").is_none());
 
         rep.true_residual_norm = Some(2e-9);
         rep.outcome = SolveOutcome::NumericalBreakdown("boom".into());
         let s = SolveSummary::from_report(&rep);
-        let names: Vec<&str> = s.fields().iter().map(|(k, _)| *k).collect();
-        assert!(names.contains(&"true_residual_norm"));
-        assert!(names.contains(&"detail"));
+        let j = s.to_json();
+        assert!(j.get("true_residual_norm").is_some());
+        assert_eq!(j.field("detail").unwrap().as_str().unwrap(), "boom");
         assert!(!s.converged);
     }
 

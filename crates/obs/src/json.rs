@@ -1,9 +1,12 @@
-//! A hand-rolled, dependency-free JSON value type, parser and serializer.
+//! The workspace's one JSON codec: a hand-rolled, dependency-free value
+//! type, parser and serializer.
 //!
-//! The campaign engine stores specs and artifacts as JSON/JSONL, but the
-//! build container is fully offline, so `serde` is not available. This
-//! module implements the subset the engine needs — which is all of JSON,
-//! plus one deliberate extension: the bare tokens `NaN`, `Infinity` and
+//! Campaign specs and artifacts, the deterministic trace channel
+//! ([`crate::trace`]), solve summaries and the solve service's wire
+//! protocol all read and write JSON through this module, so they share
+//! one set of bytes for every value. There is no `serde`: the workspace
+//! builds offline. This module implements all of JSON, plus one
+//! deliberate extension: the bare tokens `NaN`, `Infinity` and
 //! `-Infinity` are accepted and produced for non-finite numbers, because
 //! fault-injection experiments legitimately generate them and silently
 //! mapping them to `null` would corrupt artifacts.
@@ -236,7 +239,7 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -345,19 +348,15 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     b'b' => out.push('\u{8}'),
                     b'f' => out.push('\u{c}'),
                     b'u' => {
-                        if *pos + 4 > b.len() {
+                        let Some(hex) = b.get(*pos..*pos + 4) else {
                             return err(*pos, "truncated \\u escape");
-                        }
-                        let hex = std::str::from_utf8(&b[*pos..*pos + 4])
-                            .map_err(|_| JsonError {
-                                offset: *pos,
-                                msg: "non-ascii \\u escape".into(),
-                            })?
-                            .to_string();
-                        let cp = u32::from_str_radix(&hex, 16).map_err(|_| JsonError {
-                            offset: *pos,
-                            msg: format!("bad \\u escape '{hex}'"),
-                        })?;
+                        };
+                        let Ok(hex) = std::str::from_utf8(hex) else {
+                            return err(*pos, "non-ascii \\u escape");
+                        };
+                        let Ok(cp) = u32::from_str_radix(hex, 16) else {
+                            return err(*pos, format!("bad \\u escape '{hex}'"));
+                        };
                         *pos += 4;
                         // Surrogate pairs are not produced by our writer;
                         // map lone surrogates to the replacement char.
@@ -369,12 +368,17 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
             }
             _ => {
-                // Copy one UTF-8 scalar (possibly multi-byte) verbatim.
-                let s = std::str::from_utf8(&b[*pos..])
+                // Copy the run up to the next quote or backslash verbatim,
+                // validating it once. Both delimiters are ASCII, so the
+                // run ends on a char boundary.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |i| *pos + i);
+                let run = std::str::from_utf8(&b[*pos..end])
                     .map_err(|_| JsonError { offset: *pos, msg: "invalid utf-8".into() })?;
-                let ch = s.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -482,6 +486,8 @@ mod tests {
         assert_eq!(fmt_f64(25.0), "25");
         assert_eq!(fmt_f64(-3.0), "-3");
         assert_eq!(fmt_f64(0.0), "0");
+        assert_eq!(fmt_f64(-0.0), "0");
+        assert_eq!(fmt_f64(0.5), "5e-1");
     }
 
     #[test]
@@ -489,44 +495,6 @@ mod tests {
         assert_eq!(fmt_f64(f64::NAN), "NaN");
         assert_eq!(fmt_f64(f64::INFINITY), "Infinity");
         assert_eq!(fmt_f64(f64::NEG_INFINITY), "-Infinity");
-    }
-
-    #[test]
-    fn fmt_f64_agrees_with_the_obs_copy() {
-        // `sdc_obs` sits below this crate in the dependency graph and
-        // duplicates fmt_f64 to stay dependency-free; the two must never
-        // drift, or det traces stop being byte-comparable with artifacts.
-        let mut cases = vec![
-            0.0,
-            -0.0,
-            1.0,
-            -1.0,
-            25.0,
-            0.5,
-            0.1,
-            1.5e-7,
-            1e150,
-            1e-300,
-            9.0e15,
-            9.1e15,
-            -9.007199254740991e15,
-            f64::MIN_POSITIVE,
-            f64::MAX,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            std::f64::consts::PI,
-        ];
-        let mut z = 0x9e3779b97f4a7c15u64;
-        for _ in 0..512 {
-            z = z.wrapping_mul(0xbf58476d1ce4e5b9).wrapping_add(1);
-            let x = f64::from_bits(z);
-            cases.push(x);
-            cases.push((z >> 12) as f64);
-        }
-        for &x in &cases {
-            assert_eq!(fmt_f64(x), sdc_obs::trace::fmt_f64(x), "bits {:#x}", x.to_bits());
-        }
     }
 
     #[test]
@@ -598,5 +566,45 @@ mod tests {
     fn unicode_survives() {
         let v = Json::Str("π ‖A‖_F €".to_string());
         assert_eq!(Json::parse(&v.to_line()).unwrap(), v);
+    }
+
+    #[test]
+    fn escapes_next_to_multibyte_runs() {
+        let v = Json::parse(r#""é\"€\u0041\\€é\n""#).unwrap();
+        assert_eq!(v, Json::str("é\"€A\\€é\n"));
+        let v = Json::parse(r#"{"€\u0041é":"\"é"}"#).unwrap();
+        assert_eq!(v.field("€Aé").unwrap().as_str().unwrap(), "\"é");
+        let s = Json::str("€\"é\\\u{1}x€");
+        assert_eq!(Json::parse(&s.to_line()).unwrap(), s);
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets() {
+        let cases = [
+            ("\"abc", 4, "unterminated string"),
+            ("\"é€", 6, "unterminated string"),
+            ("[\"é\\", 5, "unterminated escape"),
+            ("\"€\\q\"", 5, "bad escape '\\q'"),
+            ("\"é\\u12\"", 5, "truncated \\u escape"),
+            ("\"\\u00zz\"", 3, "bad \\u escape '00zz'"),
+            ("\"\\u000é\"", 3, "non-ascii \\u escape"),
+        ];
+        for (text, offset, msg) in cases {
+            let e = Json::parse(text).unwrap_err();
+            assert_eq!((e.offset, e.msg.as_str()), (offset, msg), "{text}");
+        }
+    }
+
+    #[test]
+    fn multi_megabyte_string_parses_in_linear_time() {
+        // A decoder quadratic in the string length needs hours here and
+        // a linear one milliseconds, so the bound cannot flake.
+        let text = "12 34 -5.25e-1 % é€ \"q\"\n".repeat(200_000);
+        let line = Json::str(text.as_str()).to_line();
+        assert!(line.len() >= 4 << 20);
+        let start = std::time::Instant::now();
+        let v = Json::parse(&line).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(10), "{:?}", start.elapsed());
+        assert_eq!(v.as_str().unwrap(), text);
     }
 }

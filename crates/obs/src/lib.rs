@@ -24,8 +24,13 @@
 //! ([`install_global`]) and a thread-local stack ([`with_local`]) used
 //! for per-solve and per-campaign-unit capture. Metrics are a separate,
 //! always-on surface: see [`metrics`].
+//!
+//! The crate also holds the workspace's one JSON codec, [`json`]: the
+//! det trace channel, campaign specs and artifacts, solve summaries and
+//! the solve service's wire protocol all write their bytes with it.
 
 pub mod flight;
+pub mod json;
 pub mod metrics;
 pub mod spanlog;
 pub mod trace;

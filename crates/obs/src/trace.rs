@@ -4,13 +4,14 @@
 //! [`TraceSink`] is a [`Subscriber`] that renders every event to one
 //! JSON line and appends it to the buffer of the event's channel. The
 //! deterministic buffer's bytes are canonical — sorted keys, shortest
-//! round-trip floats (the same algorithm as the campaign artifact
-//! serializer) — so two runs of the same computation produce identical
-//! bytes regardless of thread count, and CI can `cmp` them like any
-//! other artifact. The timing buffer uses the same rendering but its
+//! round-trip floats and string escapes from [`crate::json`], the codec
+//! campaign artifacts are written with — so two runs of the same
+//! computation produce identical bytes regardless of thread count, and
+//! CI can `cmp` them like any other artifact. The timing buffer uses the same rendering but its
 //! contents (durations, scheduling events) are inherently run-specific
 //! and must never be diffed.
 
+use crate::json::{fmt_f64, write_escaped};
 use crate::{Channel, Event, Subscriber, Value};
 use std::sync::Mutex;
 
@@ -120,42 +121,6 @@ fn write_value(v: &Value, out: &mut String) {
     }
 }
 
-/// Shortest-round-trip float rendering, byte-compatible with the
-/// campaign artifact serializer (`sdc_campaigns::json::fmt_f64`): this
-/// crate sits below `sdc_campaigns` in the dependency graph, so the
-/// algorithm is duplicated here rather than imported — the two are
-/// pinned together by a test in `sdc_campaigns`.
-pub fn fmt_f64(x: f64) -> String {
-    if x.is_nan() {
-        return "NaN".to_string();
-    }
-    if x.is_infinite() {
-        return if x > 0.0 { "Infinity".to_string() } else { "-Infinity".to_string() };
-    }
-    if x == x.trunc() && x.abs() < 9.0e15 {
-        // Integral and exactly representable: print without exponent.
-        // (-0.0 normalizes to 0 here, which parses back equal.)
-        return format!("{}", x as i64);
-    }
-    format!("{x:e}")
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,16 +147,27 @@ mod tests {
 
     #[test]
     fn float_formatting_matches_campaign_convention() {
-        assert_eq!(fmt_f64(0.0), "0");
-        assert_eq!(fmt_f64(-0.0), "0");
-        assert_eq!(fmt_f64(3.0), "3");
-        assert_eq!(fmt_f64(-12345.0), "-12345");
-        assert_eq!(fmt_f64(0.5), "5e-1");
-        assert_eq!(fmt_f64(f64::NAN), "NaN");
-        assert_eq!(fmt_f64(f64::INFINITY), "Infinity");
-        assert_eq!(fmt_f64(f64::NEG_INFINITY), "-Infinity");
-        // Round-trip exactness on an awkward value.
+        // Trace lines carry floats in the campaign artifacts' form:
+        // integral values plain, shortest round-trip exponent form
+        // otherwise, the NaN/Infinity tokens for non-finite values.
         let x = 0.1 + 0.2;
+        let e = Event::new(&DET)
+            .f64("a", 0.0)
+            .f64("b", -0.0)
+            .f64("c", 3.0)
+            .f64("d", -12345.0)
+            .f64("e", 0.5)
+            .f64("f", f64::NAN)
+            .f64("g", f64::INFINITY)
+            .f64("h", f64::NEG_INFINITY)
+            .f64("i", x);
+        let line = render_line(&e);
+        assert_eq!(
+            line,
+            "{\"a\":0,\"b\":0,\"c\":3,\"d\":-12345,\"e\":5e-1,\"ev\":\"unit.det\",\
+             \"f\":NaN,\"g\":Infinity,\"h\":-Infinity,\"i\":3.0000000000000004e-1}"
+        );
+        // Round-trip exactness on an awkward value.
         assert_eq!(fmt_f64(x).parse::<f64>().unwrap().to_bits(), x.to_bits());
     }
 

@@ -879,7 +879,7 @@ fn execute_solve(
         ("solver", Json::str(req.solver.as_str())),
         ("resolved_format", Json::str(problem.resolved_format(req.format).as_str())),
         ("seed", Json::u64(req.seed)),
-        ("summary", sdc_campaigns::summary_json(&summary)),
+        ("summary", summary.to_json()),
         // Reliable true residual against the CSR source of truth.
         ("true_rel_residual", Json::Num(true_rel_residual(&problem.a, b, &x))),
     ];
@@ -1247,6 +1247,34 @@ mod tests {
             "header"
         );
         e.drain();
+    }
+
+    #[test]
+    fn campaign_with_an_unbuildable_precond_is_a_bad_request() {
+        // Row 2 has no diagonal entry, so ILU(0) cannot be built on it.
+        let mtx =
+            std::env::temp_dir().join(format!("sdc_server_nodiag_{}.mtx", std::process::id()));
+        let nodiag = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4\n2 1 -1\n";
+        std::fs::write(&mtx, nodiag).unwrap();
+        let spec = sdc_campaigns::CampaignSpec {
+            precond: PrecondKind::Ilu0,
+            ..sdc_campaigns::CampaignSpec::paper_shape(
+                "nodiag",
+                vec![sdc_campaigns::ProblemSpec::MatrixMarket {
+                    path: mtx.clone(),
+                    equilibrate: false,
+                }],
+            )
+        };
+        let e = engine();
+        let req = format!("{{\"cmd\":\"campaign\",\"spec\":{}}}", spec.to_json().to_line());
+        let (_, r) = drive(&e, &req);
+        let err = r.field("error").unwrap();
+        assert_eq!(err.field("code").unwrap().as_str().unwrap(), "bad_request", "{}", r.to_line());
+        let msg = err.field("message").unwrap().as_str().unwrap();
+        assert!(msg.starts_with("campaign failed: invalid spec: precond ilu0"), "{msg}");
+        e.drain();
+        std::fs::remove_file(&mtx).ok();
     }
 
     #[test]

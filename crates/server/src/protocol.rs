@@ -5,7 +5,7 @@
 //! `"id"` (any JSON scalar) that the server echoes on every response and
 //! event line it produces for that request, so clients can multiplex.
 //!
-//! Responses are canonical JSON ([`sdc_campaigns::json`]: sorted keys,
+//! Responses are canonical JSON ([`sdc_obs::json`]: sorted keys,
 //! round-trip-exact floats), which is what makes the served-vs-offline
 //! byte-diff in CI and the determinism tests possible. Requests are
 //! parsed *strictly*: an unknown field is a structured error, not a

@@ -394,3 +394,25 @@ fn pipelined_requests_answer_in_order() {
 
     shutdown(handle);
 }
+
+#[test]
+fn multi_megabyte_mtx_frame_gets_a_structured_reply() {
+    // One multi-MB frame of inline Matrix Market text with a non-ASCII
+    // comment. A string decoder quadratic in the frame length needs hours
+    // here and a linear one milliseconds, so the bound cannot flake.
+    let n = 200_000;
+    let mut mtx =
+        format!("%%MatrixMarket matrix coordinate real general\n% ‖A‖ = 4 é€\n{n} {n} {n}\n");
+    (1..=n).for_each(|i| mtx.push_str(&format!("{i} {i} 4.0\n")));
+    let frame =
+        Json::obj(vec![("cmd", Json::str("load_matrix")), ("mtx", Json::str(mtx))]).to_line();
+    assert!(frame.len() >= 3 << 20, "{} bytes", frame.len());
+
+    let engine = Engine::new(EngineConfig::default());
+    let start = std::time::Instant::now();
+    let r = engine.handle_line(&frame, &mut |_| {});
+    assert!(start.elapsed() < Duration::from_secs(10), "{:?}", start.elapsed());
+    assert!(r.field("ok").unwrap().as_bool().unwrap(), "{}", r.to_line());
+    assert_eq!(r.field("result").unwrap().field("rows").unwrap().as_usize().unwrap(), n);
+    engine.drain();
+}

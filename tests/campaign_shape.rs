@@ -3,8 +3,7 @@
 //! experiment binaries use. If these pass, the regenerated Fig. 3/4
 //! qualitatively match the paper.
 
-use sdc_bench::campaign::{failure_free, run_sweep, CampaignConfig};
-use sdc_bench::problems;
+use sdc_campaigns::{failure_free, problems, run_sweep, CampaignConfig};
 use sdc_repro::faults::campaign::{FaultClass, MgsPosition};
 use sdc_repro::prelude::*;
 
