@@ -14,7 +14,6 @@
 //!
 //! Usage: `bitflip_sweep [--quick]`
 
-use rayon::prelude::*;
 use sdc_bench::render::CliArgs;
 use sdc_campaigns::problems;
 use sdc_faults::bitflip::{bitflip_anatomy, summarize_against_bound, BitRegion};
@@ -78,28 +77,25 @@ fn main() {
         problem.resolved_format(args.format)
     );
 
-    let rows: Vec<(u8, usize, bool, bool, bool)> = (0u8..64)
-        .collect::<Vec<_>>()
-        .par_iter()
-        .map(|&bit| {
-            let inj = SingleFaultInjector::new(
-                FaultModel::BitFlip { bit },
-                Trigger::once(SitePredicate::mgs_site(2, 2, LoopPosition::First)),
-            );
-            let (x, rep) =
-                sdc_gmres::ftgmres::ftgmres_solve_instrumented(op, &problem.b, None, &ft, &inj);
-            let mut r = vec![0.0; problem.b.len()];
-            sdc_gmres::operator::residual(&problem.a, &problem.b, &x, &mut r);
-            let ok = sdc_dense::vector::nrm2(&r) <= 1e-6 * sdc_dense::vector::nrm2(&problem.b);
-            (
-                bit,
-                rep.iterations,
-                rep.detected_anything(),
-                rep.outcome.is_converged() && ok,
-                !rep.injections.is_empty(),
-            )
-        })
-        .collect();
+    let rows: Vec<(u8, usize, bool, bool, bool)> = sdc_parallel::par_map(64, |bit| {
+        let bit = bit as u8;
+        let inj = SingleFaultInjector::new(
+            FaultModel::BitFlip { bit },
+            Trigger::once(SitePredicate::mgs_site(2, 2, LoopPosition::First)),
+        );
+        let (x, rep) =
+            sdc_gmres::ftgmres::ftgmres_solve_instrumented(op, &problem.b, None, &ft, &inj);
+        let mut r = vec![0.0; problem.b.len()];
+        sdc_gmres::operator::residual(&problem.a, &problem.b, &x, &mut r);
+        let ok = sdc_dense::vector::nrm2(&r) <= 1e-6 * sdc_dense::vector::nrm2(&problem.b);
+        (
+            bit,
+            rep.iterations,
+            rep.detected_anything(),
+            rep.outcome.is_converged() && ok,
+            !rep.injections.is_empty(),
+        )
+    });
 
     println!("  bit | outer iterations | detected | solved correctly | committed");
     let mut max_outer = ff.iterations;

@@ -42,7 +42,6 @@ use crate::artifact::{self, ArtifactError, Record};
 use crate::problems::Problem;
 use crate::spec::{CampaignSpec, LsqSpec, Scenario};
 use crate::sweep::{clean_run, fork_boundary, run_experiment};
-use rayon::prelude::*;
 use sdc_faults::campaign::CampaignPoint;
 use sdc_gmres::ftgmres::CleanFtGmres;
 use sdc_gmres::prelude::{BuiltPrecond, FtGmresConfig};
@@ -228,7 +227,7 @@ struct Plan {
 /// `campaign resume`) never loads or generates a single matrix.
 struct ProblemCache<'a> {
     spec: &'a CampaignSpec,
-    cells: Vec<std::sync::OnceLock<Problem>>,
+    cells: Vec<std::sync::OnceLock<Result<Problem, String>>>,
 }
 
 impl<'a> ProblemCache<'a> {
@@ -236,8 +235,14 @@ impl<'a> ProblemCache<'a> {
         Self { spec, cells: (0..spec.problems.len()).map(|_| Default::default()).collect() }
     }
 
-    fn get(&self, i: usize) -> &Problem {
-        self.cells[i].get_or_init(|| self.spec.problems[i].build())
+    /// Problem `i`, built on first use. A problem that cannot be built
+    /// (an unreadable matrix file, a one-node circuit) makes the spec
+    /// invalid.
+    fn get(&self, i: usize) -> Result<&Problem, RunError> {
+        self.cells[i]
+            .get_or_init(|| self.spec.problems[i].try_build())
+            .as_ref()
+            .map_err(|e| RunError::InvalidSpec(format!("problem {i} cannot be built: {e}")))
     }
 
     /// Problem `i`'s preconditioner of the spec's kind, built on first
@@ -245,7 +250,7 @@ impl<'a> ProblemCache<'a> {
     /// entry) makes the spec invalid; callers resolve it before the
     /// first solve on the problem, so that is an error, not a panic.
     fn precond(&self, i: usize) -> Result<&BuiltPrecond, RunError> {
-        let p = self.get(i);
+        let p = self.get(i)?;
         p.precond(self.spec.precond).map_err(|e| {
             RunError::InvalidSpec(format!(
                 "precond {} cannot be built on problem {i} ({}): {e}",
@@ -275,7 +280,7 @@ fn expand(
             continue;
         }
         problems.precond(pidx)?;
-        let problem = problems.get(pidx);
+        let problem = problems.get(pidx)?;
         if !quiet {
             eprintln!(
                 "[campaign] baseline: problem {pidx} ({}), lsq={}",
@@ -446,6 +451,11 @@ pub fn run(
 
     let n_preamble = 1 + spec.problems.len() + plan.baseline_keys.len();
     let completed_units = matched.saturating_sub(n_preamble);
+    // Build every problem whose record is still missing before the file
+    // is touched, so one that cannot be built leaves the file as it was.
+    for i in matched.max(1)..=spec.problems.len() {
+        problems.get(i - 1)?;
+    }
 
     // Truncate the file to the matched prefix and open for append.
     let file = if let Some(scan) = &scan {
@@ -469,7 +479,7 @@ pub fn run(
         let rec = if i == 0 {
             Record::Header { spec: spec.clone() }
         } else if i <= n_problems {
-            problem_record(spec, i - 1, problems.get(i - 1))
+            problem_record(spec, i - 1, problems.get(i - 1)?)
         } else {
             let b = i - 1 - n_problems;
             let (pidx, lsq) = plan.baseline_keys[b];
@@ -490,16 +500,16 @@ pub fn run(
     // Shard and run the remaining units.
     let todo = &plan.units[completed_units.min(plan.units.len())..];
 
-    // One solver configuration and preconditioner per scenario, built
-    // once — but not at all when the artifact is already complete.
-    let ft_configs: Vec<(FtGmresConfig, &BuiltPrecond)> = if todo.is_empty() {
+    // One problem, solver configuration and preconditioner per scenario,
+    // built once — but not at all when the artifact is already complete.
+    let ft_configs: Vec<(&Problem, FtGmresConfig, &BuiltPrecond)> = if todo.is_empty() {
         Vec::new()
     } else {
         plan.scenarios
             .iter()
             .map(|s| {
-                let (p, pc) = (problems.get(s.problem), problems.precond(s.problem)?);
-                Ok((spec.campaign_config(s).ft_config_with(&p.a, pc), pc))
+                let (p, pc) = (problems.get(s.problem)?, problems.precond(s.problem)?);
+                Ok((p, spec.campaign_config(s).ft_config_with(&p.a, pc), pc))
             })
             .collect::<Result<_, RunError>>()?
     };
@@ -517,7 +527,7 @@ pub fn run(
             if plan.cleans[key].is_none() {
                 let (pidx, lsq) = plan.baseline_keys[key];
                 plan.cleans[key] =
-                    Some(clean_run(problems.get(pidx), &spec.baseline_config(lsq)).1);
+                    Some(clean_run(problems.get(pidx)?, &spec.baseline_config(lsq)).1);
             }
         }
     }
@@ -540,9 +550,9 @@ pub fn run(
                 plan.units.len()
             );
         }
-        let records: Vec<(Record, Option<String>, usize)> = shard
-            .par_iter()
-            .map(|u| {
+        let records: Vec<(Record, Option<String>, usize)> =
+            sdc_parallel::par_map(shard.len(), |i| {
+                let u = &shard[i];
                 let s = plan.scenarios[u.scenario_idx];
                 let point = CampaignPoint {
                     aggregate_iteration: u.aggregate,
@@ -550,8 +560,7 @@ pub fn run(
                     class: s.class,
                     position: s.position,
                 };
-                let p = problems.get(s.problem);
-                let (ft, pc) = &ft_configs[u.scenario_idx];
+                let (p, ft, pc) = &ft_configs[u.scenario_idx];
                 let clean = plan.cleans[plan.scenario_keys[u.scenario_idx]].as_ref();
                 let solve = || run_experiment(p, ft, point, spec.format, pc, clean);
                 // Per-unit capture on the claiming thread: the solve
@@ -571,8 +580,7 @@ pub fn run(
                     point: measured,
                 };
                 (rec, trace, clean.map_or(0, |c| fork_boundary(c, ft, point) - 1))
-            })
-            .collect();
+            });
         for (rec, trace, skipped) in &records {
             if let Record::Experiment { point, .. } = rec {
                 outer_iterations += point.outer_iterations;
@@ -774,8 +782,10 @@ mod tests {
         // A resume whose artifact already holds every baseline fails
         // before its first fork clean, and leaves the file as it was.
         let problems = ProblemCache::new(&spec);
-        let mut preamble =
-            vec![Record::Header { spec: spec.clone() }, problem_record(&spec, 0, problems.get(0))];
+        let mut preamble = vec![
+            Record::Header { spec: spec.clone() },
+            problem_record(&spec, 0, problems.get(0).unwrap()),
+        ];
         for (problem, lsq) in spec.baseline_keys() {
             preamble.push(Record::Baseline { problem, lsq, outer_iterations: 3, converged: true });
         }
@@ -785,6 +795,35 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&mtx).ok();
+    }
+
+    #[test]
+    fn unbuildable_problem_is_an_invalid_spec_not_a_panic() {
+        let bad = std::env::temp_dir().join(format!("sdc_exec_bad_{}.mtx", std::process::id()));
+        std::fs::write(&bad, "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 4\n")
+            .unwrap();
+        let missing = std::env::temp_dir().join("sdc_exec_no_such_dir/missing.mtx");
+        let cases = [
+            (ProblemSpec::MatrixMarket { path: missing, equilibrate: false }, "cannot read"),
+            (ProblemSpec::MatrixMarket { path: bad.clone(), equilibrate: true }, "parse error"),
+            (ProblemSpec::Dcop { nodes: 1, seed: 7 }, "dcop needs at least 2 nodes, got 1"),
+            (ProblemSpec::Poisson { m: 1_000_000_000 }, "poisson m=1000000000 is above"),
+        ];
+        let quiet = RunOptions { quiet: true, ..Default::default() };
+        for (problem, reason) in cases {
+            let spec = CampaignSpec::paper_shape("bad", vec![problem]);
+            let path = tmp("bad_problem");
+            std::fs::remove_file(&path).ok();
+            match run(&spec, &path, false, &quiet) {
+                Err(RunError::InvalidSpec(msg)) => assert!(
+                    msg.starts_with("problem 0 cannot be built: ") && msg.contains(reason),
+                    "{msg}"
+                ),
+                other => panic!("{other:?}"),
+            }
+            assert!(!path.exists(), "a spec that cannot be built must not create the artifact");
+        }
+        std::fs::remove_file(&bad).ok();
     }
 
     #[test]

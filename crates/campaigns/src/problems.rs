@@ -2,8 +2,7 @@
 
 use sdc_gmres::precond::{BuiltPrecond, PrecondKind};
 use sdc_sparse::gallery::{self, CircuitMnaConfig};
-use sdc_sparse::{io, CsrMatrix, SellMatrix, SparseFormat};
-use std::path::Path;
+use sdc_sparse::{CsrMatrix, SellMatrix, SparseFormat};
 use std::sync::OnceLock;
 
 /// A named linear system `A x = b`.
@@ -90,30 +89,23 @@ pub fn poisson(m: usize) -> Problem {
     Problem::with_ones_solution(format!("Poisson {m}x{m}"), gallery::poisson2d(m))
 }
 
-/// The paper's second problem. If `mtx` is given, loads the *real*
-/// `mult_dcop_03.mtx`; otherwise generates the synthetic circuit stand-in
-/// (`crates/sparse/src/gallery/circuit.rs`).
+/// The paper's second problem: the synthetic `mult_dcop_03` stand-in
+/// (`crates/sparse/src/gallery/circuit.rs`). The real `mult_dcop_03.mtx`
+/// loads as [`crate::ProblemSpec::MatrixMarket`] with `equilibrate`.
 ///
-/// Either way the matrix is symmetrically equilibrated
+/// The matrix is symmetrically equilibrated
 /// (`D^{-1/2} A D^{-1/2}` with `D = diag(max(|a_ii|, ε))`): the raw
 /// operator's 10+-decade diagonal dynamic range stalls *any*
 /// unpreconditioned Krylov method, and the paper itself frames scaling
 /// the system as part of making detection effective (§V). Equilibration
 /// preserves nonsymmetry and leaves the matrix very ill-conditioned.
-pub fn dcop(mtx: Option<&Path>, nodes: usize, seed: u64) -> Problem {
-    let (name, mut a) = match mtx {
-        Some(path) => {
-            let a = io::read_matrix_market(path)
-                .unwrap_or_else(|e| panic!("failed to read {}: {e}", path.display()));
-            (format!("mult_dcop_03 ({})", path.display()), a)
-        }
-        None => {
-            let cfg = CircuitMnaConfig { nodes, seed, ..Default::default() };
-            (format!("synthetic circuit (n={nodes}, seed={seed})"), gallery::circuit_mna(&cfg))
-        }
-    };
+///
+/// # Panics
+/// Panics if `nodes < 2`.
+pub fn dcop(nodes: usize, seed: u64) -> Problem {
+    let mut a = gallery::circuit_mna(&CircuitMnaConfig { nodes, seed, ..Default::default() });
     equilibrate(&mut a);
-    Problem::with_ones_solution(name, a)
+    Problem::with_ones_solution(format!("synthetic circuit (n={nodes}, seed={seed})"), a)
 }
 
 /// Symmetric diagonal equilibration in place.
@@ -145,7 +137,7 @@ mod tests {
 
     #[test]
     fn dcop_problem_is_equilibrated_and_nonsymmetric() {
-        let p = dcop(None, 800, 7);
+        let p = dcop(800, 7);
         let d = p.a.diagonal();
         for (i, &v) in d.iter().enumerate() {
             assert!((v.abs() - 1.0).abs() < 1e-9, "diag[{i}] = {v} not ±1 after equilibration");

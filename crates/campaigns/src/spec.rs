@@ -62,19 +62,46 @@ pub enum ProblemSpec {
     },
 }
 
+/// Largest generated problem [`ProblemSpec::try_build`] accepts, in
+/// unknowns. The generators allocate up front, and a failed allocation
+/// aborts the process rather than panicking, so a size read from a spec
+/// or a request is checked first. The paper's problems have under 10⁵.
+const MAX_GENERATED_UNKNOWNS: usize = 1 << 24;
+
 impl ProblemSpec {
     /// Builds the problem (loads/generates the matrix, forms `b = A·1`).
+    ///
+    /// # Panics
+    /// Panics where [`ProblemSpec::try_build`] returns an error.
     pub fn build(&self) -> Problem {
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds the problem, or says why it cannot be built: an unreadable
+    /// or malformed Matrix Market file, a circuit of fewer than two
+    /// nodes, or a generated problem of more than 2²⁴ unknowns.
+    pub fn try_build(&self) -> Result<Problem, String> {
+        let too_big =
+            |what: String| format!("{what} is above the {MAX_GENERATED_UNKNOWNS}-unknown limit");
         match self {
-            ProblemSpec::Poisson { m } => problems::poisson(*m),
-            ProblemSpec::Dcop { nodes, seed } => problems::dcop(None, *nodes, *seed),
+            ProblemSpec::Poisson { m } => match m.checked_mul(*m) {
+                Some(n) if n <= MAX_GENERATED_UNKNOWNS => Ok(problems::poisson(*m)),
+                _ => Err(too_big(format!("poisson m={m}"))),
+            },
+            ProblemSpec::Dcop { nodes, .. } if *nodes < 2 => {
+                Err(format!("dcop needs at least 2 nodes, got {nodes}"))
+            }
+            ProblemSpec::Dcop { nodes, .. } if *nodes > MAX_GENERATED_UNKNOWNS => {
+                Err(too_big(format!("dcop nodes={nodes}")))
+            }
+            ProblemSpec::Dcop { nodes, seed } => Ok(problems::dcop(*nodes, *seed)),
             ProblemSpec::MatrixMarket { path, equilibrate } => {
                 let mut a = sdc_sparse::io::read_matrix_market(path)
-                    .unwrap_or_else(|e| panic!("failed to read {}: {e}", path.display()));
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
                 if *equilibrate {
                     problems::equilibrate(&mut a);
                 }
-                Problem::with_ones_solution(format!("mtx ({})", path.display()), a)
+                Ok(Problem::with_ones_solution(format!("mtx ({})", path.display()), a))
             }
         }
     }

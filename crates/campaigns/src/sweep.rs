@@ -18,7 +18,6 @@
 //! re-solving.
 
 use crate::problems::Problem;
-use rayon::prelude::*;
 use sdc_faults::campaign::{CampaignPoint, FaultClass, MgsPosition};
 use sdc_gmres::ftgmres::{ftgmres_capture, ftgmres_fork, ftgmres_solve_precond, CleanFtGmres};
 use sdc_gmres::operator::true_rel_residual;
@@ -198,18 +197,15 @@ pub fn run_sweep(
     let ft = cfg.ft_config_with(&p.a, pc);
     let domain: Vec<usize> =
         (1..=cfg.inner_iters * failure_free_outer).step_by(cfg.stride.max(1)).collect();
-    let points: Vec<SweepPoint> = domain
-        .par_iter()
-        .map(|&aggregate| {
-            let point = CampaignPoint {
-                aggregate_iteration: aggregate,
-                inner_per_outer: cfg.inner_iters,
-                class,
-                position,
-            };
-            run_experiment(p, &ft, point, cfg.format, pc, None)
-        })
-        .collect();
+    let points: Vec<SweepPoint> = sdc_parallel::par_map(domain.len(), |i| {
+        let point = CampaignPoint {
+            aggregate_iteration: domain[i],
+            inner_per_outer: cfg.inner_iters,
+            class,
+            position,
+        };
+        run_experiment(p, &ft, point, cfg.format, pc, None)
+    });
     SweepResult { class, position, failure_free_outer, points }
 }
 

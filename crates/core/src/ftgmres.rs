@@ -26,10 +26,10 @@ use crate::gmres::{gmres_solve_instrumented, GmresConfig, SiteContext};
 use crate::operator::LinearOperator;
 use crate::precond::{right_preconditioned, BuiltPrecond, FaultedPrecond};
 use crate::telemetry::{SolveOutcome, SolveReport};
-use parking_lot::Mutex;
 use sdc_dense::lstsq::LstsqPolicy;
 use sdc_faults::{FaultInjector, Kernel, NoFaults, Site};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// FT-GMRES configuration. The inner solves always orthogonalize with
 /// MGS, and the outer layer always rejects non-finite inner results.
@@ -251,7 +251,8 @@ struct MaxAbsH(Mutex<Vec<f64>>);
 impl FaultInjector for MaxAbsH {
     fn corrupt(&self, site: Site, value: f64) -> f64 {
         if matches!(site.kernel, Kernel::OrthoDot | Kernel::OrthoNorm) && site.inner_solve > 0 {
-            let mut maxima = self.0.lock();
+            // Recover poison: the sandbox keeps going after a crashed inner solve.
+            let mut maxima = self.0.lock().unwrap_or_else(|e| e.into_inner());
             if maxima.len() < site.inner_solve {
                 maxima.resize(site.inner_solve, 0.0);
             }
@@ -278,7 +279,11 @@ pub fn ftgmres_capture<A: LinearOperator + ?Sized>(
     let maxima = MaxAbsH::default();
     let mut inner = InnerGmresPrecond::new(a, cfg, precond, &maxima);
     let (x, report, prefix) = fgmres_solve_capture(a, b, x0, &cfg.outer, &mut inner);
-    let clean = CleanFtGmres { cfg: *cfg, prefix, inner_max_abs_h: maxima.0.into_inner() };
+    let clean = CleanFtGmres {
+        cfg: *cfg,
+        prefix,
+        inner_max_abs_h: maxima.0.into_inner().unwrap_or_else(|e| e.into_inner()),
+    };
     (x, report, clean)
 }
 

@@ -49,10 +49,9 @@ pub use hessenberg_qr::HessenbergQr;
 pub use householder::{householder_qr, HouseholderQr};
 pub use lstsq::{LstsqOutcome, LstsqPolicy, LstsqReport};
 pub use matrix::DenseMatrix;
-/// Thread-team regions, for kernels above this crate that step through
-/// several phases over the [`BLOCK`] chunks of one buffer (see
-/// [`sdc_parallel::team()`]).
-pub use sdc_parallel::{team, BLOCK};
+/// The chunked data-parallel loop and thread-team regions of
+/// [`sdc_parallel`], for `sdc_sparse`, which has no direct dependency.
+pub use sdc_parallel::{par_chunks_mut, team, BLOCK};
 pub use svd::{Svd, SvdError};
 
 /// Machine epsilon for `f64`, re-exported for convenience.

@@ -21,7 +21,6 @@
 //!    positives.
 
 use crate::simd;
-use rayon::prelude::*;
 use sdc_parallel::{combine_blocks, det_map_sum, BLOCK, PAIRWISE_BASE, PAR_MIN};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -210,9 +209,9 @@ pub fn par_axpy(a: f64, x: &[f64], y: &mut [f64]) {
     if x.len() < PAR_MIN {
         return axpy(a, x, y);
     }
-    y.par_chunks_mut(sdc_parallel::BLOCK)
-        .zip(x.par_chunks(sdc_parallel::BLOCK))
-        .for_each(|(cy, cx)| axpy(a, cx, cy));
+    sdc_parallel::par_chunks_mut(y, BLOCK, |c, cy| {
+        axpy(a, &x[c * BLOCK..c * BLOCK + cy.len()], cy);
+    });
 }
 
 /// `x ← a·x`. Bitwise identical across the scalar and SIMD bodies.
@@ -383,13 +382,21 @@ mod tests {
 
     #[test]
     fn par_axpy_matches_serial() {
+        let _guard = sdc_parallel::test_serial_guard();
+        // Not a multiple of BLOCK: the last chunk is ragged.
         let n = 70_000;
+        assert_ne!(n % BLOCK, 0);
         let x = seq(n);
-        let mut y1 = seq(n);
-        let mut y2 = y1.clone();
-        axpy(0.75, &x, &mut y1);
-        par_axpy(0.75, &x, &mut y2);
-        assert_eq!(y1, y2);
+        let mut serial = seq(n);
+        axpy(0.75, &x, &mut serial);
+        for threads in [1, 8] {
+            sdc_parallel::set_threads(threads);
+            let mut y = seq(n);
+            par_axpy(0.75, &x, &mut y);
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&y), bits(&serial), "{threads} threads");
+        }
+        sdc_parallel::set_threads(0);
     }
 
     #[test]

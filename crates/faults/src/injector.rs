@@ -11,7 +11,7 @@
 use crate::model::FaultModel;
 use crate::site::Site;
 use crate::trigger::Trigger;
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// One committed corruption. Deterministic channel: the trigger decides
 /// on logical site coordinates, so the event (including the exact bit
@@ -92,15 +92,21 @@ impl SingleFaultInjector {
         Self { model, trigger, state: Mutex::new(InjectorState::default()) }
     }
 
+    /// The injector state. A panic while the lock was held does not
+    /// poison it: FT-GMRES' sandbox catches a crashed inner solve and
+    /// keeps using the injector for the rest of the run.
+    fn state(&self) -> MutexGuard<'_, InjectorState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Number of corruptions committed so far.
     pub fn fired_count(&self) -> u64 {
-        self.state.lock().fired
+        self.state().fired
     }
 
     /// Resets the counters and records (reuse across solves).
     pub fn reset(&self) {
-        let mut st = self.state.lock();
-        *st = InjectorState::default();
+        *self.state() = InjectorState::default();
     }
 
     /// The configured model.
@@ -120,7 +126,7 @@ impl FaultInjector for SingleFaultInjector {
         if !self.trigger.predicate.matches(&site) {
             return value;
         }
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.matches += 1;
         if self.trigger.should_fire(st.matches, st.fired) {
             st.fired += 1;
@@ -134,7 +140,7 @@ impl FaultInjector for SingleFaultInjector {
     }
 
     fn records(&self) -> Vec<InjectionRecord> {
-        self.state.lock().records.clone()
+        self.state().records.clone()
     }
 }
 

@@ -2,7 +2,8 @@
 //!
 //! A dependency-free `std::thread` work pool plus the canonical
 //! deterministic reduction, shared by every `par_*` kernel in the
-//! workspace (the vendored `rayon` façade dispatches here).
+//! workspace: every data-parallel loop calls [`par_map`] or
+//! [`par_chunks_mut`] here directly.
 //!
 //! Two invariants make real threads safe for SDC research code:
 //!
@@ -31,7 +32,7 @@ pub mod pool;
 pub mod reduce;
 pub mod team;
 
-pub use pool::{is_pool_worker, run_pieces, set_threads, threads};
+pub use pool::{is_pool_worker, par_chunks_mut, par_map, run_pieces, set_threads, threads};
 pub use reduce::{combine_blocks, det_map_sum, pairwise_sum, BLOCK, PAIRWISE_BASE, PAR_MIN};
 pub use team::{team, Team, TEAM_MIN};
 

@@ -19,6 +19,11 @@
 //! from inside a worker runs inline on that worker — parallel kernels
 //! inside parallel campaign units degrade gracefully instead of
 //! deadlocking the pool.
+//!
+//! [`par_map`] and [`par_chunks_mut`] are the workspace's data-parallel
+//! loop: both cut `n` items into `min(n, 64)` contiguous pieces whose
+//! boundaries depend on `n` alone, and run inline when `n ≤ 1`, at one
+//! thread, or when called from inside a piece.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -325,6 +330,87 @@ pub fn run_pieces(pieces: usize, body: &(dyn Fn(usize) + Sync)) {
     }
 }
 
+/// Most pieces one [`par_map`]/[`par_chunks_mut`] loop is cut into:
+/// enough for dynamic load balancing at any sane thread count, few
+/// enough that piece handoff is noise.
+const MAX_PIECES: usize = 64;
+
+/// True when a loop over `n` items runs inline on the calling thread.
+fn runs_inline(n: usize) -> bool {
+    n <= 1 || threads() <= 1 || is_pool_worker()
+}
+
+/// Boundaries of the `k = min(n, MAX_PIECES)` contiguous pieces of
+/// `0..n`: piece `i` is `bounds[i]..bounds[i + 1]` and takes
+/// `⌊rest/(k−i)⌋` of the `rest` items still unassigned. A function of
+/// `n` alone, never of the thread count.
+fn piece_bounds(n: usize) -> Vec<usize> {
+    let k = n.min(MAX_PIECES);
+    let mut bounds = Vec::with_capacity(k + 1);
+    bounds.push(0);
+    let mut start = 0;
+    for i in 0..k {
+        start += (n - start) / (k - i);
+        bounds.push(start);
+    }
+    bounds
+}
+
+/// Returns `[f(0), f(1), …, f(n − 1)]`, evaluated over the pool.
+///
+/// Index order is preserved and each `f(i)` is computed exactly once, so
+/// the result equals the serial map at any thread count.
+pub fn par_map<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    if runs_inline(n) {
+        return (0..n).map(f).collect();
+    }
+    let bounds = piece_bounds(n);
+    let parts: Vec<Mutex<Vec<R>>> = bounds[1..].iter().map(|_| Mutex::new(Vec::new())).collect();
+    run_pieces(parts.len(), &|i| {
+        let part = (bounds[i]..bounds[i + 1]).map(&f).collect();
+        *parts[i].lock().unwrap_or_else(|e| e.into_inner()) = part;
+    });
+    let mut out = Vec::with_capacity(n);
+    for part in parts {
+        out.extend(part.into_inner().unwrap_or_else(|e| e.into_inner()));
+    }
+    out
+}
+
+/// Calls `f(c, chunk)` for every chunk `c` of `data.chunks_mut(len)`
+/// (the last one may be shorter), evaluated over the pool.
+///
+/// Chunks are disjoint, so each element is written by exactly one call
+/// and the result equals the serial loop at any thread count.
+///
+/// # Panics
+/// Panics if `len == 0`.
+pub fn par_chunks_mut<T: Send>(data: &mut [T], len: usize, f: impl Fn(usize, &mut [T]) + Sync) {
+    assert!(len > 0, "par_chunks_mut: chunk length must be > 0");
+    let n = data.len().div_ceil(len);
+    if runs_inline(n) {
+        data.chunks_mut(len).enumerate().for_each(|(c, chunk)| f(c, chunk));
+        return;
+    }
+    let bounds = piece_bounds(n);
+    let mut rest = data;
+    let pieces: Vec<Mutex<&mut [T]>> = bounds
+        .windows(2)
+        .map(|w| {
+            let take = ((w[1] - w[0]) * len).min(rest.len());
+            let (piece, tail) = std::mem::take(&mut rest).split_at_mut(take);
+            rest = tail;
+            Mutex::new(piece)
+        })
+        .collect();
+    run_pieces(pieces.len(), &|i| {
+        let mut piece = pieces[i].lock().unwrap_or_else(|e| e.into_inner());
+        for (j, chunk) in piece.chunks_mut(len).enumerate() {
+            f(bounds[i] + j, chunk);
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,6 +548,65 @@ mod tests {
         assert!(timing.contains("\"inline\":1"), "{timing}");
         // Scheduling events never reach the deterministic channel.
         assert!(sink.det_bytes().is_empty());
+        set_threads(0);
+    }
+
+    #[test]
+    fn par_map_preserves_index_order() {
+        let _guard = crate::test_guard();
+        set_threads(4);
+        let out = par_map(10_000, |i| i * 2);
+        assert_eq!(out.len(), 10_000);
+        assert!(out.iter().enumerate().all(|(i, &x)| x == i * 2));
+        assert!(par_map(0, |i| i).is_empty());
+        set_threads(0);
+    }
+
+    #[test]
+    fn par_chunks_mut_visits_every_chunk_once() {
+        let _guard = crate::test_guard();
+        set_threads(8);
+        // 1000 = 142 full chunks of 7 plus a ragged chunk of 6.
+        let mut data = vec![0usize; 1000];
+        let calls = AtomicUsize::new(0);
+        par_chunks_mut(&mut data, 7, |c, chunk| {
+            assert_eq!(chunk.len(), if c == 142 { 6 } else { 7 });
+            calls.fetch_add(1, Ordering::SeqCst);
+            for (j, v) in chunk.iter_mut().enumerate() {
+                *v += c * 7 + j + 1;
+            }
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 143);
+        assert!(data.iter().enumerate().all(|(i, &v)| v == i + 1));
+        par_chunks_mut(&mut [0u8; 0], 4, |_, _| panic!("an empty input has no chunks"));
+        set_threads(0);
+    }
+
+    #[test]
+    fn piece_bounds_depend_on_the_item_count_alone() {
+        // `piece_bounds` takes nothing but `n`; 127 items give 64 pieces,
+        // one single and then 63 pairs, as `⌊rest/(k−i)⌋` prescribes.
+        let sizes: Vec<usize> = piece_bounds(127).windows(2).map(|w| w[1] - w[0]).collect();
+        assert_eq!(sizes, [&[1][..], &[2; 63]].concat());
+        assert_eq!(piece_bounds(5), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(*piece_bounds(10_000).last().unwrap(), 10_000);
+        assert_eq!(piece_bounds(1), vec![0, 1]);
+        assert_eq!(piece_bounds(0), vec![0]);
+    }
+
+    #[test]
+    fn a_loop_inside_a_piece_runs_inline() {
+        let _guard = crate::test_guard();
+        set_threads(4);
+        let outer = par_map(8, |_| {
+            let tid = std::thread::current().id();
+            let mut inline = par_map(100, |_| std::thread::current().id() == tid);
+            par_chunks_mut(&mut inline, 3, |_, c| {
+                c.iter_mut().for_each(|b| *b &= std::thread::current().id() == tid)
+            });
+            inline.iter().all(|&b| b)
+        });
+        assert!(outer.iter().all(|&b| b));
         set_threads(0);
     }
 

@@ -776,10 +776,11 @@ pub(crate) fn write_flight_dump(
 fn build_problem(source: &MatrixSource) -> Result<Problem, String> {
     match source {
         MatrixSource::Problem(spec) => {
-            // ProblemSpec::build panics on unreadable files; keep that a
-            // structured error at the protocol boundary.
-            std::panic::catch_unwind(|| spec.build())
-                .map_err(|_| "problem spec failed to build (unreadable path?)".to_string())
+            // `try_build` reports unreadable files and invalid shapes; a
+            // size the generators cannot allocate still panics, and that
+            // must not take the event loop down.
+            std::panic::catch_unwind(|| spec.try_build())
+                .unwrap_or_else(|_| Err("problem spec failed to build".to_string()))
         }
         MatrixSource::Coo { rows, cols, entries } => {
             let mut coo = sdc_sparse::CooMatrix::new(*rows, *cols);
@@ -1275,6 +1276,44 @@ mod tests {
         assert!(msg.starts_with("campaign failed: invalid spec: precond ilu0"), "{msg}");
         e.drain();
         std::fs::remove_file(&mtx).ok();
+    }
+
+    #[test]
+    fn unbuildable_problem_is_a_bad_request_for_campaign_and_load_matrix() {
+        use sdc_campaigns::ProblemSpec;
+        let bad = std::env::temp_dir().join(format!("sdc_server_bad_{}.mtx", std::process::id()));
+        std::fs::write(&bad, "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 4\n")
+            .unwrap();
+        let missing = std::env::temp_dir().join("sdc_server_no_such_dir/missing.mtx");
+        let cases = [
+            (ProblemSpec::MatrixMarket { path: missing, equilibrate: false }, "cannot read"),
+            (ProblemSpec::MatrixMarket { path: bad.clone(), equilibrate: true }, "parse error"),
+            (ProblemSpec::Dcop { nodes: 1, seed: 7 }, "dcop needs at least 2 nodes, got 1"),
+            // Sizes whose generation would overflow or abort on allocation.
+            (ProblemSpec::Poisson { m: 1_000_000_000 }, "poisson m=1000000000 is above"),
+            (ProblemSpec::Poisson { m: 1 << 32 }, "poisson m=4294967296 is above"),
+            (ProblemSpec::Dcop { nodes: 9_000_000_000_000_000, seed: 7 }, "dcop nodes=9000000"),
+        ];
+        let e = engine();
+        let bad_request = |req: String| {
+            let r = drive(&e, &req).1;
+            let err = r.field("error").unwrap();
+            let code = err.field("code").unwrap().as_str().unwrap();
+            assert_eq!(code, "bad_request", "{}", r.to_line());
+            err.field("message").unwrap().as_str().unwrap().to_string()
+        };
+        for (problem, reason) in cases {
+            let spec = sdc_campaigns::CampaignSpec::paper_shape("bad", vec![problem.clone()]);
+            let spec = spec.to_json().to_line();
+            let msg = bad_request(format!("{{\"cmd\":\"campaign\",\"spec\":{spec}}}"));
+            let prefix = "campaign failed: invalid spec: problem 0 cannot be built: ";
+            assert!(msg.starts_with(prefix) && msg.contains(reason), "{msg}");
+            let problem = problem.to_json().to_line();
+            let msg = bad_request(format!("{{\"cmd\":\"load_matrix\",\"problem\":{problem}}}"));
+            assert!(msg.contains(reason), "{msg}");
+        }
+        e.drain();
+        std::fs::remove_file(&bad).ok();
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! and the result is bitwise identical to the serial kernel — campaign
 //! reproducibility does not depend on thread count.
 
-use rayon::prelude::*;
-
 use sdc_dense::vector;
 
 /// Rows per [`CsrMatrix::par_spmv`] chunk. Each chunk is one call of the
@@ -143,7 +141,7 @@ impl CsrMatrix {
         if self.nnz() < crate::PAR_SPMV_MIN_NNZ {
             return self.spmv(x, y);
         }
-        y.par_chunks_mut(PAR_SPMV_ROWS).enumerate().for_each(|(k, ys)| {
+        sdc_dense::par_chunks_mut(y, PAR_SPMV_ROWS, |k, ys| {
             let lo = k * PAR_SPMV_ROWS;
             self.for_each_row_dot(lo..lo + ys.len(), x, |r, v| ys[r - lo] = v);
         });

@@ -8,7 +8,6 @@
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
-use rayon::prelude::*;
 
 /// Sparse matrix sum `A + B` (patterns merged, values added).
 ///
@@ -130,7 +129,10 @@ pub fn kron(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
             (crest, vrest) = (cr, vr);
             pieces.push((rows, c, v));
         }
-        pieces.into_par_iter().for_each(|(rows, c, v)| fill_rows(rows, c, v));
+        sdc_dense::par_chunks_mut(&mut pieces, 1, |_, piece| {
+            let (rows, c, v) = &mut piece[0];
+            fill_rows(rows.clone(), c, v);
+        });
     }
     CsrMatrix::from_raw(nrows, ncols, row_ptr, col_idx, values)
 }

@@ -26,7 +26,7 @@
 
 use crate::csr::CsrMatrix;
 use crate::perm::Permutation;
-use rayon::prelude::*;
+use sdc_dense::par_chunks_mut;
 
 /// Default chunk height `C` (rows per chunk).
 pub const DEFAULT_CHUNK: usize = 8;
@@ -327,12 +327,12 @@ impl SellMatrix {
         }
         if self.identity_perm {
             // stored == original: chunk results land directly in y.
-            y.par_chunks_mut(self.chunk).enumerate().for_each(|(c, yc)| self.chunk_dot(c, x, yc));
+            par_chunks_mut(y, self.chunk, |c, yc| self.chunk_dot(c, x, yc));
         } else {
             let mut ys = vec![0.0; self.nrows];
-            ys.par_chunks_mut(self.chunk).enumerate().for_each(|(c, yc)| self.chunk_dot(c, x, yc));
+            par_chunks_mut(&mut ys, self.chunk, |c, yc| self.chunk_dot(c, x, yc));
             let inv = self.perm.inverse();
-            y.par_iter_mut().enumerate().for_each(|(orig, yr)| *yr = ys[inv[orig]]);
+            par_chunks_mut(y, 1, |orig, yr| yr[0] = ys[inv[orig]]);
         }
     }
 }

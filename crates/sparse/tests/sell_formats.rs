@@ -24,7 +24,7 @@ fn gallery_cases() -> Vec<(&'static str, CsrMatrix)> {
 }
 
 #[test]
-fn sell_round_trips_and_matches_csr_bitwise_at_1_and_4_threads() {
+fn sell_round_trips_and_matches_csr_bitwise_at_1_2_and_8_threads() {
     let _guard = sdc_parallel::test_serial_guard();
     for (name, a) in gallery_cases() {
         let sell = SellMatrix::from_csr(&a);
@@ -34,7 +34,7 @@ fn sell_round_trips_and_matches_csr_bitwise_at_1_and_4_threads() {
         let mut reference = vec![0.0; a.nrows()];
         a.spmv(&x, &mut reference); // serial CSR: the ground truth
 
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 8] {
             sdc_parallel::set_threads(threads);
             let mut y_csr = vec![0.0; a.nrows()];
             let mut y_sell = vec![0.0; a.nrows()];

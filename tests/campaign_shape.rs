@@ -74,7 +74,7 @@ fn fig4_shape_nonsymmetric_early_vulnerability() {
     // The paper's §VII-E observation on the nonsymmetric problem:
     // penalties concentrate early (the first inner solves). Verified on
     // the small synthetic circuit.
-    let p = problems::dcop(None, 1200, 1311);
+    let p = problems::dcop(1200, 1311);
     let cfg = CampaignConfig { outer_tol: 1e-6, ..cfg() };
     let ff = failure_free(&p, &cfg);
     assert!(ff.outcome.is_converged(), "{:?}", ff.outcome);

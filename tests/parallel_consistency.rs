@@ -3,8 +3,8 @@
 //! the property that makes the fault-injection campaign's comparisons
 //! meaningful.
 //!
-//! The vendored `rayon` façade runs the `par_*` kernels on the
-//! `sdc_parallel` pool (sized by `SDC_THREADS`), so these assertions
+//! The `par_*` kernels run on the `sdc_parallel` pool (sized by
+//! `SDC_THREADS`) through `par_map`/`par_chunks_mut`, so these assertions
 //! compare threaded runs against the serial kernels: they catch a
 //! reduction whose result depends on thread count.
 
