@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sdc_dense::vector;
 use sdc_faults::NoFaults;
-use sdc_gmres::ortho::{orthogonalize, OrthoSiteCtx, OrthoStrategy};
+use sdc_gmres::ortho::{orthogonalize, OrthoSiteCtx};
 use sdc_sparse::gallery;
 use std::hint::black_box;
 
@@ -65,10 +65,10 @@ fn ortho_case(n: usize, k: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     (basis, (0..n).map(|i| (i as f64 * 0.53).cos()).collect())
 }
 
-fn orthogonalize_once(strat: OrthoStrategy, basis: &[Vec<f64>], v0: &[f64]) -> f64 {
+fn orthogonalize_once(basis: &[Vec<f64>], v0: &[f64]) -> f64 {
     let mut v = v0.to_vec();
     let ctx = OrthoSiteCtx { outer_iteration: 0, inner_solve: 0, column: basis.len() };
-    orthogonalize(strat, basis, &mut v, ctx, &NoFaults, None).vnorm
+    orthogonalize(basis, &mut v, ctx, &NoFaults, None).vnorm
 }
 
 fn bench_ortho(c: &mut Criterion) {
@@ -81,13 +81,9 @@ fn bench_ortho(c: &mut Criterion) {
     let n = 10_000;
     for basis_size in [1usize, 5, 25] {
         let (basis, v0) = ortho_case(n, basis_size);
-        for strat in [OrthoStrategy::Mgs, OrthoStrategy::Cgs, OrthoStrategy::Cgs2] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("{strat:?}"), basis_size),
-                &basis_size,
-                |b, _| b.iter(|| black_box(orthogonalize_once(strat, &basis, &v0))),
-            );
-        }
+        g.bench_with_input(BenchmarkId::new("Mgs", basis_size), &basis_size, |b, _| {
+            b.iter(|| black_box(orthogonalize_once(&basis, &v0)))
+        });
     }
     // The last step of a GMRES(128) cycle on poisson180: past the team
     // gate, so at two threads every coefficient's blocks are split.
@@ -97,7 +93,7 @@ fn bench_ortho(c: &mut Criterion) {
         g.bench_with_input(
             BenchmarkId::new(format!("Mgs_threads{threads}"), "32400x128"),
             &threads,
-            |b, _| b.iter(|| black_box(orthogonalize_once(OrthoStrategy::Mgs, &basis, &v0))),
+            |b, _| b.iter(|| black_box(orthogonalize_once(&basis, &v0))),
         );
     }
     sdc_parallel::set_threads(0);

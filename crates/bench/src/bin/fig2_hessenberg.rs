@@ -12,7 +12,6 @@
 use sdc_bench::render::CliArgs;
 use sdc_gmres::arnoldi::{arnoldi, tridiagonality_defect};
 use sdc_gmres::operator::LinearOperator;
-use sdc_gmres::ortho::OrthoStrategy;
 use sdc_sparse::{CsrMatrix, FormatMatrix, SparseFormat};
 
 fn structure_diagram(h: &sdc_dense::DenseMatrix, k: usize, tol: f64) -> String {
@@ -37,7 +36,7 @@ fn analyze(name: &str, a: &CsrMatrix, steps: usize, format: SparseFormat) {
     let a: &dyn LinearOperator = &op;
     let n = a.nrows();
     let v0: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.317).sin() + 0.73).collect();
-    let dec = arnoldi(a, &v0, steps, OrthoStrategy::Mgs);
+    let dec = arnoldi(a, &v0, steps);
     let scale = dec.h.norm_max();
     let tol = 1e-10 * scale;
     let defect = tridiagonality_defect(&dec.h);

@@ -17,6 +17,7 @@ use crate::problems::{self, Problem};
 use crate::sweep::CampaignConfig;
 use sdc_faults::campaign::{FaultClass, MgsPosition};
 use sdc_gmres::prelude::{DetectorResponse, LstsqPolicy, PrecondKind};
+use sdc_sparse::MAX_DIM;
 use std::path::PathBuf;
 
 /// Current spec/artifact format version.
@@ -62,12 +63,6 @@ pub enum ProblemSpec {
     },
 }
 
-/// Largest generated problem [`ProblemSpec::try_build`] accepts, in
-/// unknowns. The generators allocate up front, and a failed allocation
-/// aborts the process rather than panicking, so a size read from a spec
-/// or a request is checked first. The paper's problems have under 10⁵.
-const MAX_GENERATED_UNKNOWNS: usize = 1 << 24;
-
 impl ProblemSpec {
     /// Builds the problem (loads/generates the matrix, forms `b = A·1`).
     ///
@@ -79,19 +74,18 @@ impl ProblemSpec {
 
     /// Builds the problem, or says why it cannot be built: an unreadable
     /// or malformed Matrix Market file, a circuit of fewer than two
-    /// nodes, or a generated problem of more than 2²⁴ unknowns.
+    /// nodes, or a problem of more than [`MAX_DIM`] (2²⁴) unknowns.
     pub fn try_build(&self) -> Result<Problem, String> {
-        let too_big =
-            |what: String| format!("{what} is above the {MAX_GENERATED_UNKNOWNS}-unknown limit");
+        let too_big = |what: String| format!("{what} is above the {MAX_DIM}-unknown limit");
         match self {
             ProblemSpec::Poisson { m } => match m.checked_mul(*m) {
-                Some(n) if n <= MAX_GENERATED_UNKNOWNS => Ok(problems::poisson(*m)),
+                Some(n) if n <= MAX_DIM => Ok(problems::poisson(*m)),
                 _ => Err(too_big(format!("poisson m={m}"))),
             },
             ProblemSpec::Dcop { nodes, .. } if *nodes < 2 => {
                 Err(format!("dcop needs at least 2 nodes, got {nodes}"))
             }
-            ProblemSpec::Dcop { nodes, .. } if *nodes > MAX_GENERATED_UNKNOWNS => {
+            ProblemSpec::Dcop { nodes, .. } if *nodes > MAX_DIM => {
                 Err(too_big(format!("dcop nodes={nodes}")))
             }
             ProblemSpec::Dcop { nodes, seed } => Ok(problems::dcop(*nodes, *seed)),

@@ -29,7 +29,7 @@
 use crate::arnoldi::Arnoldi;
 use crate::gmres::SiteContext;
 use crate::operator::{residual, LinearOperator};
-use crate::ortho::{OrthoSiteCtx, OrthoStrategy};
+use crate::ortho::OrthoSiteCtx;
 use crate::telemetry::{SolveOutcome, SolveReport};
 use sdc_dense::lstsq::LstsqPolicy;
 use sdc_dense::vector;
@@ -139,7 +139,7 @@ pub fn abft_gmres_solve<A: LinearOperator + ?Sized>(
                 inner_solve: ctx.inner_solve,
                 column: j,
             };
-            let ores = arnoldi.expand(a, None, OrthoStrategy::Mgs, site, injector, None);
+            let ores = arnoldi.expand(a, None, site, injector, None);
             let res_est = arnoldi.push_column(ores.h, ores.vnorm);
             let hnorm = vector::nrm2(&arnoldi.h_cols()[j - 1]);
             report.residual_history.push(res_est);

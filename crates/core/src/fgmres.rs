@@ -25,7 +25,7 @@
 use crate::arnoldi::Arnoldi;
 use crate::detector::Violation;
 use crate::operator::{residual, LinearOperator};
-use crate::ortho::{OrthoSiteCtx, OrthoStrategy};
+use crate::ortho::OrthoSiteCtx;
 use crate::telemetry::{SolveOutcome, SolveReport};
 use sdc_dense::lstsq::LstsqPolicy;
 use sdc_dense::matrix::DenseMatrix;
@@ -320,8 +320,7 @@ where
 
             // ---- Reliable phase.
             let site = OrthoSiteCtx { outer_iteration: outer_done, inner_solve: 0, column: j };
-            let mut ores =
-                arnoldi.expand(a, Some(z.as_slice()), OrthoStrategy::Mgs, site, &NoFaults, None);
+            let mut ores = arnoldi.expand(a, Some(z.as_slice()), site, &NoFaults, None);
             if arnoldi.is_breakdown(ores.vnorm) {
                 // The new direction vanished. If the projected matrix
                 // including this column is rank deficient, the inner
@@ -338,14 +337,7 @@ where
                 if !square_hessenberg_is_full_rank(&candidate) && z.as_slice() != arnoldi.last() {
                     report.inner_rejections += 1;
                     z.copy_from_slice(arnoldi.last());
-                    ores = arnoldi.expand(
-                        a,
-                        Some(z.as_slice()),
-                        OrthoStrategy::Mgs,
-                        site,
-                        &NoFaults,
-                        None,
-                    );
+                    ores = arnoldi.expand(a, Some(z.as_slice()), site, &NoFaults, None);
                 }
             }
 

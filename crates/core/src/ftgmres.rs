@@ -67,7 +67,6 @@ impl FtGmresConfig {
             restart: None,
             lsq_policy: self.inner_lsq_policy,
             detector: self.inner_detector,
-            ..Default::default()
         }
     }
 }

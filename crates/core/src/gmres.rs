@@ -2,8 +2,8 @@
 //!
 //! Restarted GMRES over the shared `Arnoldi` core, with:
 //!
-//! * pluggable orthogonalization ([`OrthoStrategy`]), each coefficient
-//!   passing through the fault injector and the SDC detector;
+//! * Modified Gram-Schmidt orthogonalization, each coefficient passing
+//!   through the fault injector and the SDC detector;
 //! * the incremental Givens-QR least-squares solve with its free residual
 //!   recurrence;
 //! * the three §VI-D projected least-squares policies;
@@ -18,7 +18,7 @@
 use crate::arnoldi::Arnoldi;
 use crate::detector::{DetectorResponse, SdcDetector};
 use crate::operator::{residual, LinearOperator};
-use crate::ortho::{OrthoSiteCtx, OrthoStrategy};
+use crate::ortho::OrthoSiteCtx;
 use crate::precond::right_preconditioned;
 use crate::telemetry::{SolveOutcome, SolveReport};
 use sdc_dense::lstsq::LstsqPolicy;
@@ -65,8 +65,6 @@ pub struct GmresConfig {
     /// Krylov dimension per cycle; `None` = no restarting (full GMRES up
     /// to `max_iters`).
     pub restart: Option<usize>,
-    /// Orthogonalization variant.
-    pub ortho: OrthoStrategy,
     /// Projected least-squares policy (§VI-D).
     pub lsq_policy: LstsqPolicy,
     /// The SDC detector; `None` runs undetected (the paper's baseline).
@@ -79,7 +77,6 @@ impl Default for GmresConfig {
             tol: 1e-8,
             max_iters: 200,
             restart: None,
-            ortho: OrthoStrategy::Mgs,
             lsq_policy: LstsqPolicy::Standard,
             detector: None,
         }
@@ -235,7 +232,7 @@ pub fn gmres_solve_instrumented<A: LinearOperator + ?Sized>(
                 inner_solve: ctx.inner_solve,
                 column: j,
             };
-            let ores = arnoldi.expand(a, None, cfg.ortho, site, injector, cfg.detector.as_ref());
+            let ores = arnoldi.expand(a, None, site, injector, cfg.detector.as_ref());
             report.detector_events.extend(ores.violations.iter().copied());
             if !ores.violations.is_empty() {
                 let response = cfg.detector.expect("violations imply a detector").response;
@@ -554,18 +551,6 @@ mod tests {
             let (_, rep) = gmres_solve(&a, &b, None, &cfg);
             assert!(rep.outcome.is_converged(), "m={m}: {:?}", rep.outcome);
             assert!(rep.detector_events.is_empty(), "m={m}: false positive!");
-        }
-    }
-
-    #[test]
-    fn cgs_and_cgs2_also_converge() {
-        let a = gallery::poisson2d(9);
-        let b = b_for(&a);
-        for ortho in [OrthoStrategy::Cgs, OrthoStrategy::Cgs2] {
-            let cfg = GmresConfig { tol: 1e-9, max_iters: 300, ortho, ..Default::default() };
-            let (x, rep) = gmres_solve(&a, &b, None, &cfg);
-            assert!(rep.outcome.is_converged(), "{ortho:?}: {:?}", rep.outcome);
-            assert!(err_vs_ones(&x) < 1e-5, "{ortho:?}");
         }
     }
 

@@ -7,10 +7,9 @@
 //!
 //! * [`operator`] — the [`operator::LinearOperator`] abstraction; sparse
 //!   matrices and closures are operators.
-//! * [`ortho`] — instrumented orthogonalization kernels (Modified
-//!   Gram-Schmidt, Classical Gram-Schmidt, CGS with reorthogonalization).
-//!   Every dot product and norm passes through a fault injector and the
-//!   SDC detector: this is where the paper's experiments strike.
+//! * [`ortho`] — the instrumented Modified Gram-Schmidt kernel. Every
+//!   dot product and norm passes through a fault injector and the SDC
+//!   detector: this is where the paper's experiments strike.
 //! * [`detector`] — the Hessenberg-bound detector of §V:
 //!   `|h_ij| ≤ ‖A‖₂ ≤ ‖A‖_F` (Eq. 3), with the response policies the
 //!   solvers support (record / restart inner / abort inner / halt).
@@ -73,7 +72,6 @@ pub mod prelude {
         gmres_solve, gmres_solve_instrumented, gmres_solve_right_precond, GmresConfig, SiteContext,
     };
     pub use crate::operator::{FnOperator, LinearOperator};
-    pub use crate::ortho::OrthoStrategy;
     pub use crate::precond::{
         BuiltPrecond, ChebyshevPrecond, FaultedPrecond, JacobiPrecond, PrecondKind,
     };

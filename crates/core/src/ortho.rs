@@ -1,10 +1,9 @@
 //! Instrumented orthogonalization kernels.
 //!
 //! The Arnoldi process makes the new direction `v = A q_j` orthogonal to
-//! the current basis. The paper uses Modified Gram-Schmidt and notes the
-//! detector bound is invariant to the choice; Classical Gram-Schmidt and
-//! CGS2 (CGS with one reorthogonalization pass) are provided for the
-//! ablation benches.
+//! the current basis with Modified Gram-Schmidt, the paper's choice
+//! (§VII-B). The detector bound `|h_ij| ≤ ‖A‖_F` holds for any
+//! orthonormal basis, so no second variant is needed.
 //!
 //! **Instrumentation**: every projection coefficient passes through the
 //! fault injector *before* it is used to update `v` — this is what lets a
@@ -24,19 +23,6 @@
 use crate::detector::{SdcDetector, Violation};
 use sdc_dense::vector;
 use sdc_faults::{FaultInjector, Kernel, Site};
-
-/// Which Gram-Schmidt variant the Arnoldi process uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OrthoStrategy {
-    /// Modified Gram-Schmidt — the paper's choice.
-    #[default]
-    Mgs,
-    /// Classical Gram-Schmidt (one pass; all dots against the original
-    /// vector).
-    Cgs,
-    /// Classical Gram-Schmidt with a second pass ("twice is enough").
-    Cgs2,
-}
 
 /// Iteration coordinates stamped on every injection/detection site.
 #[derive(Clone, Copy, Debug, Default)]
@@ -82,28 +68,6 @@ pub struct OrthoResult {
     pub violations: Vec<Violation>,
 }
 
-/// Orthogonalizes `v` in place against `basis` (unit-length vectors),
-/// passing every produced coefficient through `injector` and checking it
-/// with `detector` (if any).
-///
-/// The returned `h` holds the *(possibly corrupted)* coefficients that
-/// were actually applied — they are what the solver must store in `H`
-/// for the arithmetic to mirror Algorithm 1 under fault injection.
-pub fn orthogonalize(
-    strategy: OrthoStrategy,
-    basis: &[Vec<f64>],
-    v: &mut [f64],
-    ctx: OrthoSiteCtx,
-    injector: &dyn FaultInjector,
-    detector: Option<&SdcDetector>,
-) -> OrthoResult {
-    match strategy {
-        OrthoStrategy::Mgs => mgs(basis, v, ctx, injector, detector),
-        OrthoStrategy::Cgs => cgs(basis, v, ctx, injector, detector, false),
-        OrthoStrategy::Cgs2 => cgs(basis, v, ctx, injector, detector, true),
-    }
-}
-
 fn check(detector: Option<&SdcDetector>, value: f64, site: Site, violations: &mut Vec<Violation>) {
     if let Some(d) = detector {
         if let Some(v) = d.check(value, site) {
@@ -112,7 +76,14 @@ fn check(detector: Option<&SdcDetector>, value: f64, site: Site, violations: &mu
     }
 }
 
-fn mgs(
+/// Orthogonalizes `v` in place against `basis` (unit-length vectors) by
+/// Modified Gram-Schmidt, passing every produced coefficient through
+/// `injector` and checking it with `detector` (if any).
+///
+/// The returned `h` holds the *(possibly corrupted)* coefficients that
+/// were actually applied — they are what the solver must store in `H`
+/// for the arithmetic to mirror Algorithm 1 under fault injection.
+pub fn orthogonalize(
     basis: &[Vec<f64>],
     v: &mut [f64],
     ctx: OrthoSiteCtx,
@@ -131,42 +102,6 @@ fn mgs(
         h.push(hij);
         hij
     });
-    let nsite = ctx.norm_site();
-    let vnorm = injector.corrupt(nsite, vector::nrm2(v));
-    check(detector, vnorm, nsite, &mut violations);
-    OrthoResult { h, vnorm, violations }
-}
-
-fn cgs(
-    basis: &[Vec<f64>],
-    v: &mut [f64],
-    ctx: OrthoSiteCtx,
-    injector: &dyn FaultInjector,
-    detector: Option<&SdcDetector>,
-    reorthogonalize: bool,
-) -> OrthoResult {
-    let mut violations = Vec::new();
-    // First pass: coefficients against the *original* v.
-    let mut h: Vec<f64> = Vec::with_capacity(basis.len());
-    for (idx, q) in basis.iter().enumerate() {
-        let site = ctx.dot_site(idx + 1);
-        let hij = injector.corrupt(site, vector::dot(q, v));
-        check(detector, hij, site, &mut violations);
-        h.push(hij);
-    }
-    for (idx, q) in basis.iter().enumerate() {
-        vector::par_axpy(-h[idx], q, v);
-    }
-    if reorthogonalize {
-        // Second pass; corrections folded into h.
-        for (idx, q) in basis.iter().enumerate() {
-            let site = ctx.dot_site(idx + 1);
-            let c = injector.corrupt(site, vector::dot(q, v));
-            check(detector, c, site, &mut violations);
-            vector::par_axpy(-c, q, v);
-            h[idx] += c;
-        }
-    }
     let nsite = ctx.norm_site();
     let vnorm = injector.corrupt(nsite, vector::nrm2(v));
     check(detector, vnorm, nsite, &mut violations);
@@ -202,43 +137,16 @@ mod tests {
         let basis = [unit(vec![1.0, 1.0, 0.0, 0.0]), unit(vec![-1.0, 1.0, 1.0, 0.0])];
         // Gram-Schmidt the second basis vector first for a true orthobasis.
         let mut q2 = basis[1].clone();
-        let r = mgs(&basis[..1], &mut q2, ctx(1), &NoFaults, None);
+        let r = orthogonalize(&basis[..1], &mut q2, ctx(1), &NoFaults, None);
         let q2 = unit(q2);
         assert!(r.violations.is_empty());
         let basis = vec![basis[0].clone(), q2];
 
         let mut v = vec![0.3, -0.2, 0.9, 1.0];
-        let res = orthogonalize(OrthoStrategy::Mgs, &basis, &mut v, ctx(2), &NoFaults, None);
+        let res = orthogonalize(&basis, &mut v, ctx(2), &NoFaults, None);
         assert_eq!(res.h.len(), 2);
         check_orthogonal(&basis, &v, 1e-14);
         assert!((vector::nrm2(&v) - res.vnorm).abs() < 1e-14);
-    }
-
-    #[test]
-    fn all_strategies_agree_fault_free() {
-        // Build an orthonormal basis of 3 vectors in R^6.
-        let mut basis: Vec<Vec<f64>> = Vec::new();
-        for k in 0..3 {
-            let mut v: Vec<f64> =
-                (0..6).map(|i| ((i * (k + 2)) as f64 * 0.53).sin() + 0.1).collect();
-            let r = mgs(&basis, &mut v, ctx(k + 1), &NoFaults, None);
-            assert!(r.vnorm > 0.0);
-            vector::scal(1.0 / r.vnorm, &mut v);
-            basis.push(v);
-        }
-        let v0: Vec<f64> = (0..6).map(|i| (i as f64 * 0.91).cos()).collect();
-        let mut results = Vec::new();
-        for strat in [OrthoStrategy::Mgs, OrthoStrategy::Cgs, OrthoStrategy::Cgs2] {
-            let mut v = v0.clone();
-            let r = orthogonalize(strat, &basis, &mut v, ctx(4), &NoFaults, None);
-            check_orthogonal(&basis, &v, 1e-12);
-            results.push(r);
-        }
-        for k in 0..3 {
-            assert!((results[0].h[k] - results[1].h[k]).abs() < 1e-12);
-            assert!((results[0].h[k] - results[2].h[k]).abs() < 1e-12);
-        }
-        assert!((results[0].vnorm - results[1].vnorm).abs() < 1e-12);
     }
 
     #[test]
@@ -249,7 +157,7 @@ mod tests {
             FaultModel::ScaleRelative(100.0),
             Trigger::once(SitePredicate::mgs_site(1, 2, LoopPosition::First)),
         );
-        let res = orthogonalize(OrthoStrategy::Mgs, &basis, &mut v, ctx(2), &inj, None);
+        let res = orthogonalize(&basis, &mut v, ctx(2), &inj, None);
         // h_{1,2} corrupted: 0.5*100.
         assert_eq!(res.h[0], 50.0);
         // The corrupted coefficient was applied: v[0] = 0.5 - 50 = -49.5.
@@ -267,7 +175,7 @@ mod tests {
             Trigger::once(SitePredicate::mgs_site(1, 1, LoopPosition::First)),
         );
         let det = SdcDetector { bound: 10.0, response: DetectorResponse::Record };
-        let res = orthogonalize(OrthoStrategy::Mgs, &basis, &mut v, ctx(1), &inj, Some(&det));
+        let res = orthogonalize(&basis, &mut v, ctx(1), &inj, Some(&det));
         assert_eq!(res.violations.len(), 2, "dot violation, then the norm blows past the bound");
         assert_eq!(res.violations[0].value, 0.7 * 1e150);
     }
@@ -278,14 +186,14 @@ mod tests {
         // bound = a generous overestimate of ‖v‖.
         let det = SdcDetector { bound: 1e3, response: DetectorResponse::Record };
         let mut v = vec![0.1, -0.4, 0.8];
-        let res = orthogonalize(OrthoStrategy::Mgs, &basis, &mut v, ctx(2), &NoFaults, Some(&det));
+        let res = orthogonalize(&basis, &mut v, ctx(2), &NoFaults, Some(&det));
         assert!(res.violations.is_empty());
     }
 
     #[test]
     fn empty_basis_returns_norm_only() {
         let mut v = vec![3.0, 4.0];
-        let res = orthogonalize(OrthoStrategy::Mgs, &[], &mut v, ctx(1), &NoFaults, None);
+        let res = orthogonalize(&[], &mut v, ctx(1), &NoFaults, None);
         assert!(res.h.is_empty());
         assert!((res.vnorm - 5.0).abs() < 1e-15);
     }
@@ -345,8 +253,7 @@ mod tests {
                     sdc_parallel::set_threads(t);
                     let inj = injector();
                     let mut v = v0.clone();
-                    let got =
-                        orthogonalize(OrthoStrategy::Mgs, &basis, &mut v, ctx(k), &inj, Some(&det));
+                    let got = orthogonalize(&basis, &mut v, ctx(k), &inj, Some(&det));
                     let at = format!("n={n} {pos:?} threads={t}");
                     assert_eq!(bits(&got.h), bits(&want.h), "{at}: h");
                     assert_eq!(got.vnorm.to_bits(), want.vnorm.to_bits(), "{at}: vnorm");
@@ -357,21 +264,5 @@ mod tests {
                 sdc_parallel::set_threads(0);
             }
         }
-    }
-
-    #[test]
-    fn cgs_fault_does_not_taint_other_coefficients() {
-        // Contrast with MGS: under CGS all dots use the original v, so a
-        // corrupted h_{1,j} leaves h_{2,j} at its correct value.
-        let basis = vec![unit(vec![1.0, 0.0, 0.0]), unit(vec![0.0, 1.0, 0.0])];
-        let v0 = vec![0.5, 0.25, 1.0];
-        let inj = SingleFaultInjector::new(
-            FaultModel::ScaleRelative(100.0),
-            Trigger::once(SitePredicate::mgs_site(1, 2, LoopPosition::First)),
-        );
-        let mut v = v0.clone();
-        let res = orthogonalize(OrthoStrategy::Cgs, &basis, &mut v, ctx(2), &inj, None);
-        assert_eq!(res.h[0], 50.0);
-        assert_eq!(res.h[1], 0.25, "CGS coefficient 2 must be untainted");
     }
 }

@@ -41,7 +41,7 @@ proptest! {
         };
         let n = a.nrows();
         let v0: Vec<f64> = (0..n).map(|i| ((i as f64 + seed as f64) * 0.37).sin() + 0.2).collect();
-        let dec = arnoldi(&a, &v0, 12.min(n - 1), OrthoStrategy::Mgs);
+        let dec = arnoldi(&a, &v0, 12.min(n - 1));
         prop_assert!(dec.h.norm_max() <= a.norm_fro() * (1.0 + 1e-12));
     }
 

@@ -19,7 +19,6 @@ use sdc_gmres::detector::{DetectorResponse, SdcDetector};
 use sdc_gmres::fgmres::{fgmres_solve, FgmresConfig, FlexiblePreconditioner, PrecondReport};
 use sdc_gmres::ftgmres::{ftgmres_capture, ftgmres_fork, ftgmres_solve_precond, FtGmresConfig};
 use sdc_gmres::gmres::{gmres_solve_instrumented, gmres_solve_right_precond, GmresConfig};
-use sdc_gmres::ortho::OrthoStrategy;
 use sdc_gmres::precond::{BuiltPrecond, JacobiPrecond, PrecondKind};
 use sdc_gmres::telemetry::SolveReport;
 use sdc_gmres::SiteContext;
@@ -225,7 +224,7 @@ fn abft_gmres_rolls_back_a_class1_fault() {
 fn arnoldi_hessenberg() {
     let a = gallery::convection_diffusion_2d(9, 1.5, -0.5);
     let v0: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.317).sin() + 0.73).collect();
-    let dec = arnoldi(&a, &v0, 20, OrthoStrategy::Mgs);
+    let dec = arnoldi(&a, &v0, 20);
     let q: Vec<f64> = dec.q.concat();
     let got = format!(
         "cols={} breakdown={} h={:016x} q={:016x}",

@@ -33,7 +33,6 @@
 // obscure the correspondence the reproduction is documenting.
 #![allow(clippy::needless_range_loop)]
 
-pub mod eigen;
 pub mod givens;
 pub mod hessenberg_qr;
 pub mod householder;

@@ -91,23 +91,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Copies row `r` into a new vector.
-    pub fn row_copy(&self, r: usize) -> Vec<f64> {
-        assert!(r < self.rows, "row index out of range");
-        (0..self.cols).map(|c| self[(r, c)]).collect()
-    }
-
-    /// Appends a column; the matrix must have `col.len() == rows` (or be
-    /// empty, in which case the row count is set by the first column).
-    pub fn push_col(&mut self, col: &[f64]) {
-        if self.cols == 0 && self.rows == 0 {
-            self.rows = col.len();
-        }
-        assert_eq!(col.len(), self.rows, "push_col: wrong length");
-        self.data.extend_from_slice(col);
-        self.cols += 1;
-    }
-
     /// Matrix-vector product `y = A x`.
     pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec: x length");
@@ -115,15 +98,6 @@ impl DenseMatrix {
         y.fill(0.0);
         for c in 0..self.cols {
             vector::axpy(x[c], self.col(c), y);
-        }
-    }
-
-    /// Transposed matrix-vector product `y = Aᵀ x`.
-    pub fn matvec_t(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.rows, "matvec_t: x length");
-        assert_eq!(y.len(), self.cols, "matvec_t: y length");
-        for c in 0..self.cols {
-            y[c] = vector::dot(self.col(c), x);
         }
     }
 
@@ -251,7 +225,6 @@ mod tests {
         assert_eq!(a[(1, 0)], 3.0);
         assert_eq!(a[(1, 1)], 4.0);
         assert_eq!(a.col(0), &[1.0, 3.0]);
-        assert_eq!(a.row_copy(0), vec![1.0, 2.0]);
     }
 
     #[test]
@@ -271,30 +244,6 @@ mod tests {
         assert_eq!(t.cols(), 2);
         assert_eq!(t[(2, 1)], 6.0);
         assert!(t.transpose().max_diff(&a) == 0.0);
-    }
-
-    #[test]
-    fn matvec_t_matches_transpose_matvec() {
-        let a = DenseMatrix::from_rows(&[&[1.0, -2.0, 0.5], &[4.0, 0.0, 6.0]]);
-        let x = [2.0, -1.0];
-        let mut y1 = [0.0; 3];
-        a.matvec_t(&x, &mut y1);
-        let t = a.transpose();
-        let mut y2 = [0.0; 3];
-        t.matvec(&x, &mut y2);
-        for i in 0..3 {
-            assert!((y1[i] - y2[i]).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn push_col_grows() {
-        let mut a = DenseMatrix::zeros(0, 0);
-        a.push_col(&[1.0, 2.0]);
-        a.push_col(&[3.0, 4.0]);
-        assert_eq!(a.rows(), 2);
-        assert_eq!(a.cols(), 2);
-        assert_eq!(a[(1, 1)], 4.0);
     }
 
     #[test]

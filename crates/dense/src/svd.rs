@@ -55,16 +55,6 @@ impl Svd {
         self.sigma.iter().filter(|&&s| s > cutoff).count()
     }
 
-    /// 2-norm condition number `σ_max / σ_min` (∞ if rank-deficient).
-    pub fn cond2(&self) -> f64 {
-        let smin = self.sigma_min();
-        if smin == 0.0 {
-            f64::INFINITY
-        } else {
-            self.sigma_max() / smin
-        }
-    }
-
     /// Minimum-norm least-squares solution of `min ‖A y − b‖₂` using the
     /// truncated pseudoinverse: singular values `≤ tol·σ_max` are dropped.
     ///
@@ -289,7 +279,6 @@ mod tests {
         let s = assert_svd_valid(&a, 1e-12);
         assert!(s.sigma[1] < 1e-12 * s.sigma[0]);
         assert_eq!(s.rank(1e-10), 1);
-        assert_eq!(s.cond2(), f64::INFINITY);
     }
 
     #[test]

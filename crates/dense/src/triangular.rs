@@ -67,55 +67,6 @@ pub fn solve_upper(r: &DenseMatrix, z: &[f64]) -> TriangularOutcome {
     }
 }
 
-/// Solves `L y = z` by forward substitution for lower-triangular `L`.
-pub fn solve_lower(l: &DenseMatrix, z: &[f64]) -> TriangularOutcome {
-    let n = l.cols();
-    assert!(l.rows() >= n, "solve_lower: L must have at least n rows");
-    assert_eq!(z.len(), n, "solve_lower: rhs length");
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let d = l[(i, i)];
-        if d == 0.0 {
-            return TriangularOutcome::ZeroDiagonal { index: i };
-        }
-        let mut s = z[i];
-        for j in 0..i {
-            s -= l[(i, j)] * y[j];
-        }
-        y[i] = s / d;
-    }
-    if crate::all_finite(&y) {
-        TriangularOutcome::Finite(y)
-    } else {
-        TriangularOutcome::NonFinite(y)
-    }
-}
-
-/// Solves `Rᵀ y = z` (forward substitution on the transpose of an
-/// upper-triangular matrix) — used by the LINPACK-style condition
-/// estimator.
-pub fn solve_upper_transposed(r: &DenseMatrix, z: &[f64]) -> TriangularOutcome {
-    let n = r.cols();
-    assert_eq!(z.len(), n);
-    let mut y = vec![0.0; n];
-    for i in 0..n {
-        let d = r[(i, i)];
-        if d == 0.0 {
-            return TriangularOutcome::ZeroDiagonal { index: i };
-        }
-        let mut s = z[i];
-        for j in 0..i {
-            s -= r[(j, i)] * y[j];
-        }
-        y[i] = s / d;
-    }
-    if crate::all_finite(&y) {
-        TriangularOutcome::Finite(y)
-    } else {
-        TriangularOutcome::NonFinite(y)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,25 +77,6 @@ mod tests {
         let y = solve_upper(&r, &[5.0, 8.0]).unwrap_finite();
         assert!((y[1] - 2.0).abs() < 1e-15);
         assert!((y[0] - 1.5).abs() < 1e-15);
-    }
-
-    #[test]
-    fn lower_solve_known() {
-        let l = DenseMatrix::from_rows(&[&[2.0, 0.0], &[1.0, 4.0]]);
-        let y = solve_lower(&l, &[4.0, 10.0]).unwrap_finite();
-        assert!((y[0] - 2.0).abs() < 1e-15);
-        assert!((y[1] - 2.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn transposed_solve_matches_explicit_transpose() {
-        let r = DenseMatrix::from_rows(&[&[3.0, 1.0, -1.0], &[0.0, 2.0, 0.5], &[0.0, 0.0, 5.0]]);
-        let z = [1.0, -2.0, 3.0];
-        let y1 = solve_upper_transposed(&r, &z).unwrap_finite();
-        let y2 = solve_lower(&r.transpose(), &z).unwrap_finite();
-        for i in 0..3 {
-            assert!((y1[i] - y2[i]).abs() < 1e-14);
-        }
     }
 
     #[test]

@@ -268,16 +268,6 @@ pub fn norm_inf(x: &[f64]) -> f64 {
     simd::max_abs(x)
 }
 
-/// One norm `Σ |x_i|`.
-#[inline]
-pub fn norm1(x: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for &v in x {
-        acc += v.abs();
-    }
-    acc
-}
-
 /// Normalizes `x` in place and returns its original 2-norm. If the norm is
 /// zero (or not finite) the vector is left untouched and the norm returned
 /// as-is, letting the caller decide how to handle breakdown.
@@ -496,9 +486,8 @@ mod tests {
     }
 
     #[test]
-    fn norm1_and_norm_inf() {
+    fn norm_inf_is_max_abs() {
         let x = [3.0, -4.0, 1.0];
-        assert_eq!(norm1(&x), 8.0);
         assert_eq!(norm_inf(&x), 4.0);
     }
 }

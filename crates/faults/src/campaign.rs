@@ -194,24 +194,6 @@ impl CampaignPoint {
     }
 }
 
-/// Builds the full sweep for one (class, position) series: one point per
-/// aggregate inner iteration `1..=inner_per_outer·failure_free_outers`.
-pub fn sweep_points(
-    inner_per_outer: usize,
-    failure_free_outers: usize,
-    class: FaultClass,
-    position: MgsPosition,
-) -> Vec<CampaignPoint> {
-    (1..=inner_per_outer * failure_free_outers)
-        .map(|aggregate_iteration| CampaignPoint {
-            aggregate_iteration,
-            inner_per_outer,
-            class,
-            position,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,15 +220,6 @@ mod tests {
         let p = CampaignPoint { aggregate_iteration: 225, ..p };
         assert_eq!(p.inner_solve(), 9);
         assert_eq!(p.inner_iteration(), 25);
-    }
-
-    #[test]
-    fn sweep_covers_paper_domain() {
-        // Poisson experiment: 25 inner × 9 outer = 225 points.
-        let pts = sweep_points(25, 9, FaultClass::Slight, MgsPosition::Last);
-        assert_eq!(pts.len(), 225);
-        assert_eq!(pts[0].aggregate_iteration, 1);
-        assert_eq!(pts[224].aggregate_iteration, 225);
     }
 
     #[test]

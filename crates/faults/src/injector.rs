@@ -104,11 +104,6 @@ impl SingleFaultInjector {
         self.state().fired
     }
 
-    /// Resets the counters and records (reuse across solves).
-    pub fn reset(&self) {
-        *self.state() = InjectorState::default();
-    }
-
     /// The configured model.
     pub fn model(&self) -> FaultModel {
         self.model
@@ -199,17 +194,6 @@ mod tests {
         assert_eq!(inj.corrupt(mgs(1, 1, 1), 1.0), 2.0);
         assert_eq!(inj.corrupt(mgs(1, 1, 1), 1.0), 2.0);
         assert_eq!(inj.fired_count(), 2);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let inj = SingleFaultInjector::new(FaultModel::SetNan, Trigger::once(SitePredicate::any()));
-        let v = inj.corrupt(mgs(1, 1, 1), 1.0);
-        assert!(v.is_nan());
-        inj.reset();
-        assert_eq!(inj.fired_count(), 0);
-        let v = inj.corrupt(mgs(5, 5, 5), 7.0);
-        assert!(v.is_nan(), "after reset the single shot is re-armed");
     }
 
     #[test]

@@ -49,32 +49,6 @@ impl Site {
     pub fn bare(kernel: Kernel) -> Self {
         Site { kernel, outer_iteration: 0, inner_solve: 0, inner_iteration: 0, loop_index: 0 }
     }
-
-    /// The paper's x-axis coordinate: the aggregate inner iteration,
-    /// `(inner_solve − 1) · inner_per_outer + inner_iteration`, 1-based.
-    /// Returns 0 if this site is not inside an inner solve.
-    pub fn aggregate_inner_iteration(&self, inner_per_outer: usize) -> usize {
-        if self.inner_solve == 0 || self.inner_iteration == 0 {
-            0
-        } else {
-            (self.inner_solve - 1) * inner_per_outer + self.inner_iteration
-        }
-    }
-
-    /// True for the first position of the orthogonalization loop
-    /// (`h_{1,j}`) — the paper's "first MGS iteration" fault target.
-    pub fn is_first_mgs(&self) -> bool {
-        self.kernel == Kernel::OrthoDot && self.loop_index == 1
-    }
-
-    /// True for the last position of the orthogonalization loop
-    /// (`h_{j,j}`, i.e. `i == j`) — the paper's "last MGS iteration"
-    /// fault target.
-    pub fn is_last_mgs(&self) -> bool {
-        self.kernel == Kernel::OrthoDot
-            && self.loop_index != 0
-            && self.loop_index == self.inner_iteration
-    }
 }
 
 impl std::fmt::Display for Site {
@@ -103,36 +77,6 @@ mod tests {
             inner_iteration: iter,
             loop_index: i,
         }
-    }
-
-    #[test]
-    fn aggregate_indexing_matches_paper_axis() {
-        // 25 inner iterations per outer solve, as in the experiments.
-        assert_eq!(site(1, 1, 1).aggregate_inner_iteration(25), 1);
-        assert_eq!(site(1, 25, 1).aggregate_inner_iteration(25), 25);
-        assert_eq!(site(2, 1, 1).aggregate_inner_iteration(25), 26);
-        assert_eq!(site(9, 25, 1).aggregate_inner_iteration(25), 225);
-    }
-
-    #[test]
-    fn aggregate_zero_outside_inner_solve() {
-        let s = Site::bare(Kernel::Precond);
-        assert_eq!(s.aggregate_inner_iteration(25), 0);
-    }
-
-    #[test]
-    fn first_and_last_mgs_predicates() {
-        assert!(site(1, 5, 1).is_first_mgs());
-        assert!(!site(1, 5, 2).is_first_mgs());
-        assert!(site(1, 5, 5).is_last_mgs());
-        assert!(!site(1, 5, 4).is_last_mgs());
-        // Column 1: first and last coincide.
-        let s = site(3, 1, 1);
-        assert!(s.is_first_mgs() && s.is_last_mgs());
-        // Norm sites are neither.
-        let mut n = site(1, 5, 6);
-        n.kernel = Kernel::OrthoNorm;
-        assert!(!n.is_first_mgs() && !n.is_last_mgs());
     }
 
     #[test]

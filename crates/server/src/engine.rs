@@ -27,6 +27,7 @@ use sdc_faults::campaign::{CampaignPoint, FaultTarget};
 use sdc_faults::NoFaults;
 use sdc_gmres::operator::true_rel_residual;
 use sdc_gmres::prelude::*;
+use sdc_sparse::MAX_DIM;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{mpsc, Arc, Mutex};
@@ -783,6 +784,9 @@ fn build_problem(source: &MatrixSource) -> Result<Problem, String> {
                 .unwrap_or_else(|_| Err("problem spec failed to build".to_string()))
         }
         MatrixSource::Coo { rows, cols, entries } => {
+            if *rows > MAX_DIM || *cols > MAX_DIM {
+                return Err(format!("coo {rows}x{cols} is above the {MAX_DIM}-row/column limit"));
+            }
             let mut coo = sdc_sparse::CooMatrix::new(*rows, *cols);
             for &(i, j, v) in entries {
                 if i >= *rows || j >= *cols {
@@ -827,7 +831,6 @@ fn execute_solve(
                 restart: req.restart,
                 lsq_policy: req.lsq.policy(),
                 detector: detector(),
-                ..Default::default()
             };
             gmres_solve_right_precond(op, b, None, &cfg, precond)
         }
@@ -1312,6 +1315,38 @@ mod tests {
             let msg = bad_request(format!("{{\"cmd\":\"load_matrix\",\"problem\":{problem}}}"));
             assert!(msg.contains(reason), "{msg}");
         }
+        // Inline sources that only declare a huge size. The JSON decoder
+        // refuses integers above 9e15, so a 2⁶¹-row COO never reaches the
+        // engine; 2⁴⁰ does, and must be refused before anything is sized
+        // from it. A huge header nnz must not be reserved either.
+        let coo = |rows: u64, cols: u64| {
+            format!("\"coo\":{{\"rows\":{rows},\"cols\":{cols},\"entries\":[]}}")
+        };
+        let mtx = |size: &str| {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
+            format!("\"mtx\":{}", Json::str(text).to_line())
+        };
+        let frames = [
+            (coo(1 << 61, 2), "expected non-negative integer"),
+            (coo(1 << 40, 2), "coo 1099511627776x2 is above the 16777216-row/column limit"),
+            (coo(2, 1 << 40), "coo 2x1099511627776 is above the 16777216-row/column limit"),
+            (mtx("2305843009213693952 2 0"), "row/column limit"),
+            (mtx("1099511627776 2 0"), "row/column limit"),
+            (mtx("2 2 4611686018427387904"), "header promised 4611686018427387904 entries"),
+        ];
+        for (source, reason) in frames {
+            let msg = bad_request(format!("{{\"cmd\":\"load_matrix\",{source}}}"));
+            assert!(msg.contains(reason), "{msg}");
+        }
+        // The same engine still loads and solves.
+        drive(
+            &e,
+            "{\"cmd\":\"load_matrix\",\"name\":\"p\",\"problem\":{\"kind\":\"poisson\",\"m\":6}}",
+        );
+        let (_, r) = drive(&e, "{\"cmd\":\"solve\",\"matrix\":\"p\",\"tol\":1e-8}");
+        assert!(r.field("ok").unwrap().as_bool().unwrap(), "{}", r.to_line());
+        let summary = r.field("result").unwrap().field("summary").unwrap();
+        assert!(summary.field("converged").unwrap().as_bool().unwrap());
         e.drain();
         std::fs::remove_file(&bad).ok();
     }

@@ -77,9 +77,9 @@ impl CooMatrix {
         self.rows.iter().zip(self.cols.iter()).zip(self.vals.iter()).map(|((&r, &c), &v)| (r, c, v))
     }
 
-    /// Converts to CSR, summing duplicates and dropping exact zeros that
-    /// result from cancellation only if `drop_zeros` is set.
-    pub fn to_csr_dropping(&self, drop_zeros: bool) -> CsrMatrix {
+    /// Converts to CSR, summing duplicates. An entry whose duplicates
+    /// cancel to an exact zero stays stored.
+    pub fn to_csr(&self) -> CsrMatrix {
         // Counting sort by row, then sort each row's column slice.
         let mut row_counts = vec![0usize; self.nrows + 1];
         for &r in &self.rows {
@@ -117,20 +117,13 @@ impl CooMatrix {
                     v += scratch[j].1;
                     j += 1;
                 }
-                if !(drop_zeros && v == 0.0) {
-                    col_idx.push(c);
-                    values.push(v);
-                }
+                col_idx.push(c);
+                values.push(v);
                 i = j;
             }
             row_ptr.push(col_idx.len());
         }
         CsrMatrix::from_raw(self.nrows, self.ncols, row_ptr, col_idx, values)
-    }
-
-    /// Converts to CSR, summing duplicates (zeros kept).
-    pub fn to_csr(&self) -> CsrMatrix {
-        self.to_csr_dropping(false)
     }
 }
 
@@ -159,12 +152,13 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_dropping() {
+    fn cancellation_keeps_the_zero() {
         let mut coo = CooMatrix::new(1, 2);
         coo.push(0, 1, 1.0);
         coo.push(0, 1, -1.0);
-        assert_eq!(coo.to_csr().nnz(), 1, "zeros kept by default");
-        assert_eq!(coo.to_csr_dropping(true).nnz(), 0, "zeros dropped on request");
+        let csr = coo.to_csr();
+        assert_eq!(csr.nnz(), 1);
+        assert_eq!(csr.get(0, 1), 0.0);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
+use crate::MAX_DIM;
 use std::fmt;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -134,12 +135,16 @@ pub fn read_matrix_market_from<R: Read>(reader: R) -> Result<CsrMatrix, MmError>
     let nrows = parse_usize(dims[0], "row count")?;
     let ncols = parse_usize(dims[1], "column count")?;
     let nnz = parse_usize(dims[2], "nnz count")?;
+    if nrows > MAX_DIM || ncols > MAX_DIM {
+        return Err(MmError::Parse {
+            line: size_idx,
+            msg: format!("size {nrows}x{ncols} is above the {MAX_DIM}-row/column limit"),
+        });
+    }
 
-    let mut coo = CooMatrix::with_capacity(
-        nrows,
-        ncols,
-        if symmetry == Symmetry::General { nnz } else { 2 * nnz },
-    );
+    // The header's nnz is only a claim until the entries are read (and
+    // checked against it below), so storage grows with the entries.
+    let mut coo = CooMatrix::new(nrows, ncols);
     let mut seen = 0usize;
     for (i, l) in &mut lines {
         let l = l?;
@@ -299,6 +304,19 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n";
         let e = read_matrix_market_from(Cursor::new(text)).unwrap_err();
         assert!(matches!(e, MmError::Parse { .. }), "{e:?}");
+    }
+
+    #[test]
+    fn rejects_oversized_header_before_allocating() {
+        for size in ["2305843009213693952 1 0", "1 16777217 0"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
+            let e = read_matrix_market_from(Cursor::new(text)).unwrap_err();
+            assert!(e.to_string().contains("row/column limit"), "{e}");
+        }
+        // A huge nnz claim reserves nothing: the missing entries are the error.
+        let text = "%%MatrixMarket matrix coordinate real symmetric\n2 2 4611686018427387904\n";
+        let e = read_matrix_market_from(Cursor::new(text)).unwrap_err();
+        assert!(e.to_string().contains("header promised 4611686018427387904 entries"), "{e}");
     }
 
     #[test]

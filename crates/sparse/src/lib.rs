@@ -20,8 +20,8 @@
 //! * Matrix Market I/O ([`io`]) so the real `mult_dcop_03.mtx` can be
 //!   dropped into the experiments when available.
 //! * Structural analysis ([`structure`]): structural rank via
-//!   Hopcroft–Karp maximum bipartite matching, pattern-symmetry metrics,
-//!   bandwidth — everything Table I reports about a matrix's structure.
+//!   Hopcroft–Karp maximum bipartite matching (Table I's "structural
+//!   full rank?" row), a pattern-symmetry score and row-length moments.
 //! * Norm estimation ([`norm_est`]): exact Frobenius/1/∞ norms and a
 //!   power-iteration estimate of `‖A‖₂` — the paper's two "potential fault
 //!   detectors" (Table I).
@@ -60,3 +60,10 @@ pub use simd::SimdMode;
 /// cost more than the arithmetic saves. Shared by [`csr`], [`sell`] and
 /// [`ops`] so the formats agree on when "parallel" begins.
 pub const PAR_SPMV_MIN_NNZ: usize = 1 << 14;
+
+/// Largest row or column count accepted from a size that a spec, a
+/// request or a Matrix Market header declares. Storage is allocated from
+/// such a size before any entry is seen, and a failed allocation aborts
+/// the process rather than panicking, so the size is checked first. The
+/// paper's problems have under 10⁵ unknowns.
+pub const MAX_DIM: usize = 1 << 24;

@@ -1,15 +1,6 @@
-//! Permutations and bandwidth-reducing reordering.
-//!
-//! Reordering is standard preprocessing for the circuit-class matrices of
-//! §VII-A (direct and incomplete factorizations both profit from small
-//! bandwidth). The reverse Cuthill–McKee (RCM) ordering implemented here
-//! pairs with [`crate::structure::bandwidth`] for before/after
-//! measurements, and the permutation type is the general substrate:
-//! `B = P A Pᵀ` with validated permutation vectors.
-
-use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
-use std::collections::VecDeque;
+//! The row permutation of SELL-C-σ: [`crate::sell::SellMatrix`] sorts rows
+//! by length inside each σ-window and keeps the validated map between
+//! stored and original row order.
 
 /// A validated permutation of `0..n`: `perm[new_index] = old_index`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,21 +25,6 @@ impl Permutation {
         Self { forward, inverse }
     }
 
-    /// The identity permutation.
-    pub fn identity(n: usize) -> Self {
-        Self { forward: (0..n).collect(), inverse: (0..n).collect() }
-    }
-
-    /// Length.
-    pub fn len(&self) -> usize {
-        self.forward.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.forward.is_empty()
-    }
-
     /// `perm[new] = old`.
     pub fn forward(&self) -> &[usize] {
         &self.forward
@@ -58,196 +34,24 @@ impl Permutation {
     pub fn inverse(&self) -> &[usize] {
         &self.inverse
     }
-
-    /// The reversal of this permutation (RCM = reversed CM).
-    pub fn reversed(&self) -> Permutation {
-        let mut f = self.forward.clone();
-        f.reverse();
-        Permutation::from_vec(f)
-    }
-
-    /// Permutes a vector: `out[new] = x[perm[new]]`.
-    pub fn apply_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.len(), "apply_vec: length mismatch");
-        self.forward.iter().map(|&old| x[old]).collect()
-    }
-
-    /// Un-permutes a vector: `out[perm[new]] = x[new]`.
-    pub fn unapply_vec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.len(), "unapply_vec: length mismatch");
-        let mut out = vec![0.0; x.len()];
-        for (new, &old) in self.forward.iter().enumerate() {
-            out[old] = x[new];
-        }
-        out
-    }
-
-    /// Symmetric permutation of a square matrix: `B = P A Pᵀ`, i.e.
-    /// `B[new_i, new_j] = A[old_i, old_j]`.
-    pub fn apply_sym(&self, a: &CsrMatrix) -> CsrMatrix {
-        assert_eq!(a.nrows(), self.len(), "apply_sym: size mismatch");
-        assert_eq!(a.ncols(), self.len(), "apply_sym: matrix must be square");
-        let mut coo = CooMatrix::with_capacity(a.nrows(), a.ncols(), a.nnz());
-        for new_r in 0..self.len() {
-            let old_r = self.forward[new_r];
-            let (cols, vals) = a.row(old_r);
-            for (c, v) in cols.iter().zip(vals.iter()) {
-                coo.push(new_r, self.inverse[*c], *v);
-            }
-        }
-        coo.to_csr()
-    }
-}
-
-/// Cuthill–McKee ordering of the *symmetrized* pattern, reversed (RCM).
-/// Works on any square matrix; disconnected components are handled by
-/// restarting from the minimum-degree unvisited vertex.
-pub fn reverse_cuthill_mckee(a: &CsrMatrix) -> Permutation {
-    assert_eq!(a.nrows(), a.ncols(), "rcm: matrix must be square");
-    let n = a.nrows();
-    // Symmetrize the adjacency (pattern of A + Aᵀ), excluding diagonal.
-    let t = a.transpose();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for r in 0..n {
-        let (c1, _) = a.row(r);
-        let (c2, _) = t.row(r);
-        let mut merged: Vec<usize> =
-            c1.iter().chain(c2.iter()).copied().filter(|&c| c != r).collect();
-        merged.sort_unstable();
-        merged.dedup();
-        adj[r] = merged;
-    }
-    let degree: Vec<usize> = adj.iter().map(|a| a.len()).collect();
-
-    let mut visited = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut queue = VecDeque::new();
-
-    loop {
-        // Next start: unvisited vertex of minimum degree.
-        let start = (0..n).filter(|&v| !visited[v]).min_by_key(|&v| degree[v]);
-        let Some(start) = start else { break };
-        visited[start] = true;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut neigh: Vec<usize> = adj[v].iter().copied().filter(|&u| !visited[u]).collect();
-            neigh.sort_by_key(|&u| degree[u]);
-            for u in neigh {
-                visited[u] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    Permutation::from_vec(order).reversed()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gallery;
-    use crate::structure::bandwidth;
 
     #[test]
     fn permutation_round_trip() {
         let p = Permutation::from_vec(vec![2, 0, 3, 1]);
-        let x = [10.0, 11.0, 12.0, 13.0];
-        let y = p.apply_vec(&x);
-        assert_eq!(y, vec![12.0, 10.0, 13.0, 11.0]);
-        let back = p.unapply_vec(&y);
-        assert_eq!(back.to_vec(), x.to_vec());
+        assert_eq!(p.inverse(), &[1, 3, 0, 2]);
+        for (new, &old) in p.forward().iter().enumerate() {
+            assert_eq!(p.inverse()[old], new);
+        }
     }
 
     #[test]
     #[should_panic(expected = "duplicate")]
     fn rejects_non_bijection() {
         Permutation::from_vec(vec![0, 0, 1]);
-    }
-
-    #[test]
-    fn symmetric_permutation_preserves_spectrumish_properties() {
-        // P A Pᵀ has the same Frobenius norm, diagonal multiset and nnz.
-        let a = gallery::poisson2d(5);
-        let p = Permutation::from_vec((0..25).rev().collect());
-        let b = p.apply_sym(&a);
-        assert_eq!(a.nnz(), b.nnz());
-        assert!((a.norm_fro() - b.norm_fro()).abs() < 1e-13);
-        let mut da = a.diagonal();
-        let mut db = b.diagonal();
-        da.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        db.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        assert_eq!(da, db);
-    }
-
-    #[test]
-    fn permuted_solve_consistency() {
-        // Solving the permuted system gives the permuted solution:
-        // (P A Pᵀ)(P x) = P b.
-        let a = gallery::poisson1d(8);
-        let p = Permutation::from_vec(vec![3, 1, 7, 0, 5, 2, 6, 4]);
-        let b_mat = p.apply_sym(&a);
-        let x: Vec<f64> = (0..8).map(|i| (i as f64 * 0.7).sin()).collect();
-        let mut ax = vec![0.0; 8];
-        a.spmv(&x, &mut ax);
-        let px = p.apply_vec(&x);
-        let mut bpx = vec![0.0; 8];
-        b_mat.spmv(&px, &mut bpx);
-        let pax = p.apply_vec(&ax);
-        for i in 0..8 {
-            assert!((bpx[i] - pax[i]).abs() < 1e-14, "index {i}");
-        }
-    }
-
-    #[test]
-    fn rcm_reduces_bandwidth_of_shuffled_poisson() {
-        // Shuffle a banded matrix, then RCM should substantially recover
-        // a small bandwidth.
-        let a = gallery::poisson2d(10);
-        let (l0, u0) = bandwidth(&a);
-        // Deterministic shuffle.
-        let mut idx: Vec<usize> = (0..100).collect();
-        for i in 0..100usize {
-            let j = (i * 37 + 11) % 100;
-            idx.swap(i, j);
-        }
-        let shuffled = Permutation::from_vec(idx).apply_sym(&a);
-        let (ls, _us) = bandwidth(&shuffled);
-        assert!(ls > 2 * l0, "shuffle should blow up the bandwidth");
-        let rcm = reverse_cuthill_mckee(&shuffled);
-        let restored = rcm.apply_sym(&shuffled);
-        let (lr, ur) = bandwidth(&restored);
-        assert!(
-            lr <= l0 + 5 && ur <= u0 + 5,
-            "RCM bandwidth ({lr},{ur}) not close to original ({l0},{u0})"
-        );
-    }
-
-    #[test]
-    fn rcm_identity_on_diagonal_matrix() {
-        let a = CsrMatrix::from_diagonal(&[1.0, 2.0, 3.0]);
-        let p = reverse_cuthill_mckee(&a);
-        assert_eq!(p.len(), 3);
-        // All vertices isolated: any order is valid; must be a bijection.
-        let mut f = p.forward().to_vec();
-        f.sort_unstable();
-        assert_eq!(f, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn rcm_handles_disconnected_components() {
-        // Two disjoint paths.
-        let mut coo = CooMatrix::new(6, 6);
-        for i in 0..6 {
-            coo.push(i, i, 2.0);
-        }
-        coo.push_sym(0, 1, -1.0);
-        coo.push_sym(1, 2, -1.0);
-        coo.push_sym(3, 4, -1.0);
-        coo.push_sym(4, 5, -1.0);
-        let a = coo.to_csr();
-        let p = reverse_cuthill_mckee(&a);
-        let b = p.apply_sym(&a);
-        let (l, u) = bandwidth(&b);
-        assert!(l <= 1 && u <= 1, "paths must stay tridiagonal, got ({l},{u})");
     }
 }

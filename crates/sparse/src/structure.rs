@@ -4,9 +4,10 @@
 //! full rank* — a property of the nonzero pattern alone: the size of a
 //! maximum matching in the bipartite graph pairing rows with the columns
 //! they touch. We compute it with the Hopcroft–Karp algorithm
-//! (`O(E·√V)`), plus the symmetry and bandwidth metrics that characterize
-//! the two matrix classes (§VII-A-1: SPD inputs give a tridiagonal `H`,
-//! nonsymmetric inputs a full upper Hessenberg).
+//! (`O(E·√V)`), plus the pattern-symmetry score that separates the two
+//! matrix classes (§VII-A-1: SPD inputs give a tridiagonal `H`,
+//! nonsymmetric inputs a full upper Hessenberg), and the row-length
+//! moments the `spmv_formats` bench prints.
 
 use crate::csr::CsrMatrix;
 
@@ -134,42 +135,12 @@ pub fn pattern_symmetry_score(a: &CsrMatrix) -> f64 {
     }
 }
 
-/// Lower and upper bandwidth of the pattern: the largest `i−j` and `j−i`
-/// over stored entries.
-pub fn bandwidth(a: &CsrMatrix) -> (usize, usize) {
-    let mut lower = 0usize;
-    let mut upper = 0usize;
-    for r in 0..a.nrows() {
-        let (cols, _) = a.row(r);
-        if let Some(&first) = cols.first() {
-            if first < r {
-                lower = lower.max(r - first);
-            }
-        }
-        if let Some(&last) = cols.last() {
-            if last > r {
-                upper = upper.max(last - r);
-            }
-        }
-    }
-    (lower, upper)
-}
-
-/// Average number of stored entries per row.
-pub fn avg_nnz_per_row(a: &CsrMatrix) -> f64 {
-    if a.nrows() == 0 {
-        0.0
-    } else {
-        a.nnz() as f64 / a.nrows() as f64
-    }
-}
-
 /// Moments of the row-length (nnz-per-row) distribution. Low variance
 /// is why sliced-ELLPACK chunks pad almost nothing on stencil matrices;
 /// note the actual CSR-vs-SELL gate in [`crate::format::auto_format`]
 /// is the sharper [`crate::sell::fill_ratio_of`] (variance *within σ
 /// windows* is what padding responds to) — these moments are the
-/// structural summary reported next to the Table-I metrics.
+/// structural summary the `spmv_formats` bench prints per matrix.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RowLengthStats {
     /// Shortest row.
@@ -273,10 +244,9 @@ mod tests {
     }
 
     #[test]
-    fn tridiagonal_full_rank_and_bandwidth() {
+    fn tridiagonal_full_rank_and_symmetric() {
         let t = tridiag_toeplitz(50, -1.0, 2.0, -1.0);
         assert!(is_structurally_full_rank(&t));
-        assert_eq!(bandwidth(&t), (1, 1));
         assert!((pattern_symmetry_score(&t) - 1.0).abs() < 1e-15);
     }
 
@@ -289,13 +259,6 @@ mod tests {
         coo.push(0, 2, 1.0);
         let a = coo.to_csr();
         assert_eq!(pattern_symmetry_score(&a), 0.0);
-        assert_eq!(bandwidth(&a), (0, 2));
-    }
-
-    #[test]
-    fn avg_nnz() {
-        let t = tridiag_toeplitz(4, -1.0, 2.0, -1.0);
-        assert!((avg_nnz_per_row(&t) - 2.5).abs() < 1e-15);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use sdc_faults::bitflip::{bitflip_anatomy, summarize_against_bound};
 use sdc_gmres::arnoldi::arnoldi;
-use sdc_gmres::ortho::OrthoStrategy;
 use sdc_sparse::gallery::{self, CircuitMnaConfig};
 use sdc_sparse::{norm_est, CsrMatrix};
 
@@ -17,7 +16,7 @@ fn analyze(name: &str, a: &CsrMatrix) {
     let fro = a.norm_fro();
     let two = norm_est::norm2_est(a, 500, 1e-10).value;
     let v0: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.41).sin() + 0.6).collect();
-    let dec = arnoldi(a, &v0, 25.min(n - 1), OrthoStrategy::Mgs);
+    let dec = arnoldi(a, &v0, 25.min(n - 1));
     let hmax = dec.h.norm_max();
 
     // What does each bound catch of the 64 single-bit corruptions of a

@@ -95,17 +95,17 @@ fn fig4_shape_nonsymmetric_early_vulnerability() {
 #[test]
 fn ritz_values_of_arnoldi_h_lie_in_operator_spectrum() {
     // Cross-validation of three substrates: Arnoldi (core), the exact
-    // Poisson spectrum (sparse gallery) and the symmetric eigensolver
-    // (dense): the Ritz values of the tridiagonal H are inside
-    // [λ_min, λ_max] of the operator.
-    use sdc_repro::dense::eigen::symmetric_eigen;
+    // Poisson spectrum (sparse gallery) and the Jacobi SVD (dense): the
+    // Ritz values of the tridiagonal H are inside [λ_min, λ_max] of the
+    // operator. H = QᵀAQ is SPD for SPD A, so its eigenvalues are its
+    // singular values.
+    use sdc_repro::dense::svd::jacobi_svd;
     use sdc_repro::solvers::arnoldi::arnoldi;
-    use sdc_repro::solvers::ortho::OrthoStrategy;
     let m = 12;
     let a = gallery::poisson2d(m);
     let (lmin, lmax, _) = gallery::poisson2d_spectrum(m);
     let v0: Vec<f64> = (0..a.nrows()).map(|i| ((i as f64) * 0.7).sin() + 0.3).collect();
-    let dec = arnoldi(&a, &v0, 15, OrthoStrategy::Mgs);
+    let dec = arnoldi(&a, &v0, 15);
     let k = dec.h.cols();
     // Square (tridiagonal) part of H; symmetrize away rounding noise.
     let mut hsq = sdc_repro::dense::DenseMatrix::zeros(k, k);
@@ -114,9 +114,9 @@ fn ritz_values_of_arnoldi_h_lie_in_operator_spectrum() {
             hsq[(r, c)] = (dec.h[(r, c)] + dec.h[(c, r)]) / 2.0;
         }
     }
-    let e = symmetric_eigen(&hsq, 1e-8).unwrap();
-    assert!(e.lambda_min() >= lmin - 1e-8, "Ritz below λ_min: {}", e.lambda_min());
-    assert!(e.lambda_max() <= lmax + 1e-8, "Ritz above λ_max: {}", e.lambda_max());
+    let s = jacobi_svd(&hsq).unwrap();
+    assert!(s.sigma_min() >= lmin - 1e-8, "Ritz below λ_min: {}", s.sigma_min());
+    assert!(s.sigma_max() <= lmax + 1e-8, "Ritz above λ_max: {}", s.sigma_max());
     // The extreme Ritz values approximate the spectrum edges from inside.
-    assert!(e.lambda_max() > 0.8 * lmax, "λ_max Ritz convergence too poor");
+    assert!(s.sigma_max() > 0.8 * lmax, "λ_max Ritz convergence too poor");
 }

@@ -1,14 +1,12 @@
-//! Integration tests of full preprocessing + solver pipelines:
-//! reordering (RCM) and factorization preconditioners (ILU(0), SSOR)
-//! composed with the fault-tolerant solvers.
+//! Integration tests of preconditioned solver pipelines: factorization
+//! preconditioners (ILU(0), SSOR) composed with the fault-tolerant
+//! solvers.
 
 use sdc_repro::dense::vector;
 use sdc_repro::prelude::*;
 use sdc_repro::solvers::fgmres::{
     fgmres_solve, FgmresConfig, FlexiblePreconditioner, PrecondReport,
 };
-use sdc_repro::sparse::perm::{reverse_cuthill_mckee, Permutation};
-use sdc_repro::sparse::structure::bandwidth;
 
 /// Symmetric successive over-relaxation preconditioner
 /// `M = (D/ω + L) · (D/ω)⁻¹ · (D/ω + Lᵀ or U)` applied via two triangular
@@ -81,38 +79,6 @@ fn b_for(a: &CsrMatrix) -> Vec<f64> {
     let mut b = vec![0.0; a.nrows()];
     a.par_spmv(&ones, &mut b);
     b
-}
-
-#[test]
-fn rcm_then_ilu_then_fgmres_full_pipeline() {
-    // Shuffle the operator (simulating an unstructured ordering), then
-    // RCM-reorder, factor ILU(0), and solve the permuted system; finally
-    // un-permute and verify against the original system.
-    let a = gallery::convection_diffusion_2d(14, 2.0, -1.0);
-    let n = a.nrows();
-    let shuffle = Permutation::from_vec((0..n).map(|i| (i * 89 + 7) % n).collect::<Vec<_>>());
-    let shuffled = shuffle.apply_sym(&a);
-    let (lw, uw) = bandwidth(&shuffled);
-
-    let rcm = reverse_cuthill_mckee(&shuffled);
-    let reordered = rcm.apply_sym(&shuffled);
-    let (lr, ur) = bandwidth(&reordered);
-    assert!(lr + ur < lw + uw, "RCM failed to reduce bandwidth: {lr}+{ur} vs {lw}+{uw}");
-
-    // Solve the reordered system with ILU(0)-preconditioned FGMRES.
-    let b_orig = b_for(&a);
-    let b_shuffled = shuffle.apply_vec(&b_orig);
-    let b_reordered = rcm.apply_vec(&b_shuffled);
-    let ilu = PrecondKind::Ilu0.build(&reordered).expect("ILU(0) on reordered operator");
-    let cfg = FgmresConfig { tol: 1e-10, max_outer: 200, ..Default::default() };
-    let (x_reordered, rep) = fgmres_solve(&reordered, &b_reordered, None, &cfg, &mut &ilu);
-    assert!(rep.outcome.is_converged(), "{:?}", rep.outcome);
-
-    // Undo both permutations and compare with the ones solution.
-    let x_shuffled = rcm.unapply_vec(&x_reordered);
-    let x = shuffle.unapply_vec(&x_shuffled);
-    let err: f64 = x.iter().map(|v| (v - 1.0).abs()).fold(0.0, f64::max);
-    assert!(err < 1e-6, "pipeline solution error {err}");
 }
 
 #[test]

@@ -23,7 +23,6 @@ fn umbrella_reexports_resolve() {
     let _ = GmresConfig::default();
     let _ = FtGmresConfig::default();
     let _ = LstsqPolicy::default();
-    let _ = OrthoStrategy::Mgs;
     let _ = DetectorResponse::Record;
 }
 
